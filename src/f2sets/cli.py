@@ -88,6 +88,18 @@ def _version_string() -> str:
     return __version__
 
 
+class _VersionAction(argparse.Action):
+    """`--version`, with the git lookup deferred until the flag is given."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS):
+        super().__init__(option_strings, dest, nargs=0, default=argparse.SUPPRESS,
+                         help="show program's version number and exit")
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        print(_version_string())
+        parser.exit()
+
+
 def _load_set(args, attr: str = "set", required: bool = True) -> ElementSet | None:
     literal = getattr(args, attr.replace("-", "_"), None)
     if literal is None and attr == "set" and getattr(args, "file", None):
@@ -325,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="f2sets",
         description="Subsets of the rank-r group of XOR: predicates, structure, search.",
     )
-    parser.add_argument("--version", action="version", version=_version_string())
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", help="evaluate a predicate on a set")

@@ -17,6 +17,11 @@ import numpy as np
 
 MAX_RANK = 24
 
+# ElementSet.__iter__ peels bits off the backing integer up to this many
+# members; each step costs O(2^r) bits, so larger sets unpack with numpy,
+# whose ~5 us fixed cost the bit loop beats only on small sets.
+_ITER_LOOP_MAX = 32
+
 
 class RankMismatchError(ValueError):
     """Raised when two values from groups of different rank are combined."""
@@ -165,6 +170,9 @@ class ElementSet:
 
     def __iter__(self) -> Iterator[int]:
         b = self.bits
+        if b.bit_count() > _ITER_LOOP_MAX:
+            yield from bits_to_indices(b, self.rank).tolist()
+            return
         while b:
             low = b & -b
             yield low.bit_length() - 1

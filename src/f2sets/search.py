@@ -11,8 +11,9 @@ Enumeration is orderly generation: a set is kept only if it is canonical, and
 children extend by elements above the current maximum. Removing the largest
 element of a canonical set leaves a canonical set, so the canonical sets form
 a tree and every equivalence class is visited exactly once. Profile prunes
-must be subset-closed with respect to the target family; the proofs live in
-docs/search-pruning.md.
+must be subset-closed with respect to the target family. Under the linear
+action, a child that an automorphism of its parent moves below itself is
+rejected without a test. The proofs live in docs/search-pruning.md.
 """
 
 from __future__ import annotations
@@ -22,7 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal
 
-from .core import ElementSet, _full_mask, group_order, translate_bits
+from .core import (
+    ElementSet,
+    _echelon_insert,
+    _full_mask,
+    _swap_mask,
+    group_order,
+    translate_bits,
+)
 from .rng import Xorshift64
 from .sumsets import (
     is_maximal_sum_free,
@@ -43,10 +51,6 @@ class _NotCanonical(Exception):
         self.witness_cols = witness_cols
 
 
-class _Prune(Exception):
-    """Abandon the current branch: its word already exceeds the incumbent."""
-
-
 def _word_less(x_bits: int, y_bits: int) -> bool:
     """Set order used everywhere: the set containing the smallest element of the
     symmetric difference comes first."""
@@ -56,13 +60,26 @@ def _word_less(x_bits: int, y_bits: int) -> bool:
     return bool(x_bits & (diff & -diff))
 
 
+def _span_image(y: int, plist, doms) -> int:
+    """Image of y in span(plist) under plist[j] -> 1 << j: bit j is set exactly
+    when y lies outside doms[j], the span mask of plist[:j]."""
+    q = 0
+    j = len(plist)
+    while y:
+        j -= 1
+        if not (doms[j] >> y) & 1:
+            q |= 1 << j
+            y ^= plist[j]
+    return q
+
+
 class _MinImage:
     """Backtracking minimal-image engine for the linear action on nonzero sets.
 
     Slots of the image word are decided in ascending order against the best
     word seen so far. Preimage basis vectors pair with image slots 1, 2, 4, ...
-    so the image span is always the range [0, 2^k) and the preimage of a
-    dependent slot is the XOR of chosen basis preimages along its bits.
+    so the image span is always the range [0, 2^k). Images are computed only
+    when needed, from the chosen preimages and their span masks.
     """
 
     def __init__(self, r: int, elems: tuple[int, ...]):
@@ -70,15 +87,14 @@ class _MinImage:
         self.n = 1 << r
         self.elems = elems
         self.size = len(elems)
+        self.setbits = sum(1 << x for x in elems)
+        self.swaps = [_swap_mask(r, i) for i in range(r)]
+        self.auts: list[dict[int, int]] = []
 
     def canonical_bits(self) -> int:
         if not self.elems:
             return 0
-        self.incumbent = list(self.elems)
-        self.testing = False
-        self.auts: list[dict[int, int]] = []
-        self._first_map: dict[int, int] | None = None
-        self._dfs((), {0: 0}, 1, 0, 0, 0)
+        self._run(testing=False)
         bits = 0
         for c in self.incumbent:
             bits |= 1 << c
@@ -86,100 +102,128 @@ class _MinImage:
 
     def is_canonical(self) -> tuple[bool, list[int] | None]:
         """True when no linear image precedes the set; otherwise a witness map
-        (column images) achieving a strictly smaller image."""
+        (column images) achieving a strictly smaller image. Automorphisms met
+        on the way stay in self.auts."""
         if not self.elems:
             return True, None
-        self.incumbent = list(self.elems)
-        self.testing = True
-        self.auts = []
-        self._first_map = None
         try:
-            self._dfs((), {0: 0}, 1, 0, 0, 0)
+            self._run(testing=True)
         except _NotCanonical as hit:
             return False, hit.witness_cols
         return True, None
 
+    def _run(self, testing: bool) -> None:
+        self.incumbent = list(self.elems)
+        self.testing = testing
+        self.auts = []
+        self._first_map: dict[int, int] | None = None
+        self._walk((), (1,), 0, 0, 0)
+
     # state: plist = chosen preimages (the image of plist[i] is 1 << i),
-    # timg maps the span of plist to images, dom = span bits, det = bits of
-    # images of already-covered elements, f = last decided slot, idx = members
-    # placed so far.
+    # doms[j] = span mask of plist[:j] (doms[-1] spans all of plist), det =
+    # bits of images of the members inside the span, f = last decided slot,
+    # idx = members placed so far.
 
-    def _dfs(self, plist, timg, dom, det, f, idx) -> None:
-        try:
-            self._walk(plist, timg, dom, det, f, idx)
-        except _Prune:
-            pass
+    def _walk(self, plist, doms, det, f, idx) -> None:
+        inc = self.incumbent
+        # Slots inside the span are forced: settle the covered members above f
+        # in ascending order, abandoning the branch at the first excess.
+        above = det >> (f + 1)
+        while above:
+            low = above & -above
+            above ^= low
+            c = f + low.bit_length()
+            if idx == len(inc):
+                inc.append(c)
+            elif c != inc[idx]:
+                if c > inc[idx]:
+                    return
+                self._improve(c, idx, plist)
+            idx += 1
 
-    def _walk(self, plist, timg, dom, det, f, idx) -> None:
-        while True:
-            mask_above = det >> (f + 1) << (f + 1)
-            forced = mask_above & -mask_above
-            t_forced = forced.bit_length() - 1 if forced else None
-            t_free = 1 << len(plist)
-            remaining = self.size - det.bit_count()
-
-            if remaining == 0:
-                while t_forced is not None:
-                    self._settle(t_forced, idx, plist)
-                    idx += 1
-                    f = t_forced
-                    mask_above = det >> (f + 1) << (f + 1)
-                    forced = mask_above & -mask_above
-                    t_forced = forced.bit_length() - 1 if forced else None
-                # The word matched the incumbent; harvest the automorphism.
-                self._completed(timg)
-                return
-
-            if t_forced is not None and t_forced < t_free:
-                self._settle(t_forced, idx, plist)
-                idx += 1
-                f = t_forced
-                continue
-
-            # Next member must take the first free slot; branch over preimages.
-            c = t_free
-            inc = self.incumbent[idx] if idx < len(self.incumbent) else None
-            if inc is not None and c > inc:
-                return
-            if inc is None or c < inc:
-                if self.testing:
-                    a = next(x for x in self.elems if not (dom >> x) & 1)
-                    raise _NotCanonical(self._witness(plist + (a,)))
-                del self.incumbent[idx:]
-                self.incumbent.append(c)
-                self._first_map = None
-            explored: set[int] = set()
-            for a in self.elems:
-                if (dom >> a) & 1 or a in explored:
-                    continue
-                timg2 = dict(timg)
-                for s, img in timg.items():
-                    timg2[s ^ a] = img ^ c
-                det2 = det
-                for x in self.elems:
-                    if (dom >> (x ^ a)) & 1:
-                        det2 |= 1 << timg2[x]
-                self._dfs(plist + (a,), timg2, dom | translate_bits(dom, a, self.r),
-                          det2, c, idx + 1)
-                # Siblings reachable from a by an automorphism fixing the chosen
-                # preimages explore the same image words; skip them.
-                gens = [g for g in self.auts if all(g[p] == p for p in plist)]
-                if gens:
-                    frontier = [a]
-                    explored.add(a)
-                    while frontier:
-                        y = frontier.pop()
-                        for g in gens:
-                            z = g[y]
-                            if z not in explored:
-                                explored.add(z)
-                                frontier.append(z)
+        if det.bit_count() == self.size:
+            # The word matched the incumbent; harvest the automorphism.
+            self._completed(plist, doms)
             return
 
-    def _completed(self, timg: dict[int, int]) -> None:
+        # Next member must take the first free slot; branch over preimages.
+        k = len(plist)
+        c = 1 << k
+        dom = doms[k]
+        if idx == len(inc):
+            inc.append(c)
+        elif c != inc[idx]:
+            if c > inc[idx]:
+                return
+            a = next(x for x in self.elems if not (dom >> x) & 1)
+            self._improve(c, idx, plist + (a,))
+        setbits = self.setbits
+        swaps = self.swaps
+        explored: set[int] = set()
+        gens: list[dict[int, int]] = []
+        scanned = 0
+        for a in self.elems:
+            if (dom >> a) & 1 or a in explored:
+                continue
+            # coset = dom translated by a (core.translate_bits, inlined).
+            coset = dom
+            i = 0
+            g = a
+            while g:
+                if g & 1:
+                    s = 1 << i
+                    m = swaps[i]
+                    coset = ((coset & m) << s) | ((coset >> s) & m)
+                g >>= 1
+                i += 1
+            # Members of the new coset x = a + y take images c | image(y);
+            # _span_image, inlined.
+            det2 = det
+            hits = setbits & coset
+            while hits:
+                low = hits & -hits
+                hits ^= low
+                y = (low.bit_length() - 1) ^ a
+                q = c
+                j = k
+                while y:
+                    j -= 1
+                    if not (doms[j] >> y) & 1:
+                        q |= 1 << j
+                        y ^= plist[j]
+                det2 |= 1 << q
+            self._walk(plist + (a,), doms + (dom | coset,), det2, c, idx + 1)
+            # Siblings reachable from a by an automorphism fixing the chosen
+            # preimages explore the same image words; skip them. Automorphisms
+            # are only ever appended, so only the new ones need the filter.
+            auts = self.auts
+            if len(auts) > scanned:
+                gens.extend(g for g in auts[scanned:] if all(g[p] == p for p in plist))
+                scanned = len(auts)
+            if gens:
+                frontier = [a]
+                explored.add(a)
+                while frontier:
+                    y = frontier.pop()
+                    for g in gens:
+                        z = g[y]
+                        if z not in explored:
+                            explored.add(z)
+                            frontier.append(z)
+
+    def _improve(self, c: int, idx: int, plist) -> None:
+        """Slot c beats the incumbent at position idx: a witness in test mode,
+        otherwise the start of a new incumbent."""
+        if self.testing:
+            raise _NotCanonical(self._witness(plist))
+        del self.incumbent[idx:]
+        self.incumbent.append(c)
+        self._first_map = None
+
+    def _completed(self, plist, doms) -> None:
         """A full placement tied the incumbent: record the automorphism it
         induces relative to the first such placement."""
-        image = {x: timg[x] for x in self.elems}
+        image = {x: _span_image(x, plist, doms) for x in self.elems}
         if self._first_map is None:
             self._first_map = image
             self._first_inverse = {v: k for k, v in image.items()}
@@ -187,17 +231,6 @@ class _MinImage:
         gamma = {x: self._first_inverse[image[x]] for x in self.elems}
         if any(gamma[x] != x for x in self.elems):
             self.auts.append(gamma)
-
-    def _settle(self, c: int, idx: int, plist) -> None:
-        inc = self.incumbent[idx] if idx < len(self.incumbent) else None
-        if inc is not None and c > inc:
-            raise _Prune
-        if inc is None or c < inc:
-            if self.testing:
-                raise _NotCanonical(self._witness(plist))
-            del self.incumbent[idx:]
-            self.incumbent.append(c)
-            self._first_map = None
 
     def _witness(self, plist) -> list[int]:
         """Column images of a full invertible map sending the set strictly below
@@ -256,9 +289,11 @@ def _linear_canonical_bits(A: ElementSet) -> int:
     return engine.canonical_bits() | zero
 
 
-def _is_linear_canonical(A: ElementSet) -> tuple[bool, list[int] | None]:
+def _is_linear_canonical(A: ElementSet) -> tuple[bool, list[int] | None, list[dict[int, int]]]:
+    """Verdict, witness columns, and the automorphisms of A the test met."""
     engine = _MinImage(A.rank, tuple(A.nonzero().elements()))
-    return engine.is_canonical()
+    ok, cols = engine.is_canonical()
+    return ok, cols, engine.auts
 
 
 def _affine_canonical_bits(A: ElementSet) -> int:
@@ -297,7 +332,7 @@ def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None]:
     if action == "none":
         return True, None
     if action == "linear":
-        ok, cols = _is_linear_canonical(A)
+        ok, cols, _ = _is_linear_canonical(A)
         if ok:
             return True, None
         return False, {"kind": "linear", "cols": cols}
@@ -306,7 +341,7 @@ def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None]:
             return True, None
         if 0 not in A:
             return False, {"kind": "affine", "shift": A.min_element(), "cols": None}
-        ok, cols = _is_linear_canonical(A)
+        ok, cols, _ = _is_linear_canonical(A)
         if not ok:
             return False, {"kind": "affine", "shift": 0, "cols": cols}
         for g in A:
@@ -458,9 +493,9 @@ class SearchBudget:
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.exceeded = True
-        elif self.max_seconds is not None and (self.nodes & 255) == 0:
-            if time.monotonic() - self.started > self.max_seconds:
-                self.exceeded = True
+        elif (self.max_seconds is not None
+              and time.monotonic() - self.started > self.max_seconds):
+            self.exceeded = True
         return self.exceeded
 
 
@@ -632,7 +667,7 @@ class _Enumerator:
             self._skip_accept_of = bits
         self._visit(bits, state, last)
 
-    def _visit(self, bits: int, state, last: int) -> None:
+    def _visit(self, bits: int, state, last: int, auts=()) -> None:
         if self.budget.tick():
             return
         size = bits.bit_count()
@@ -644,6 +679,7 @@ class _Enumerator:
         if self.stop_depth is not None and size >= self.stop_depth:
             self.frontier.append(bits)
             return
+        orbits = _StabiliserOrbits(self.r, bits, auts) if auts else None
         for x in range(last + 1, self.n):
             state2 = self.profile.extend(self.r, state, x)
             child_bits = bits | (1 << x)
@@ -651,14 +687,91 @@ class _Enumerator:
                 if self.log:
                     self.log.record("profile", self.r, child_bits, None)
                 continue
-            ok, cert = _is_canonical(ElementSet(self.r, child_bits), self.action)
+            if orbits is not None and orbits.least[x] < x:
+                if self.log:
+                    self.log.record("canonical", self.r, child_bits,
+                                    {"kind": "linear", "cols": orbits.witness(x),
+                                     "rule": "orbit"})
+                continue
+            child = ElementSet(self.r, child_bits)
+            child_auts = ()
+            if self.action == "linear":
+                ok, cols, child_auts = _is_linear_canonical(child)
+                cert = {"kind": "linear", "cols": cols}
+            else:
+                ok, cert = _is_canonical(child, self.action)
             if not ok:
                 if self.log:
                     self.log.record("canonical", self.r, child_bits, cert)
                 continue
-            self._visit(child_bits, state2, x)
+            self._visit(child_bits, state2, x, child_auts)
             if self.budget.exceeded:
                 return
+
+
+class _StabiliserOrbits:
+    """Orbits on the group of the automorphisms recorded for a canonical set P.
+
+    Each automorphism, known on the points of P, is linear on span(P); it is
+    extended to an invertible map of the group by the identity on a
+    complement of span(P), and so still fixes P setwise. If one such map
+    sends x to y < x, it sends P + {x} to P + {y}, which precedes P + {x}:
+    the child P + {x} is not canonical. Any subgroup of Aut(P) gives sound
+    rejections.
+    """
+
+    def __init__(self, r: int, bits: int, auts):
+        self.r = r
+        n = 1 << r
+        pivots: dict[int, int] = {}
+        basis = []
+        for u in list(ElementSet(r, bits & ~1)) + [1 << i for i in range(r)]:
+            res = _echelon_insert(pivots, u)
+            if res:
+                pivots[res.bit_length() - 1] = res
+                basis.append(u)
+        pre = [0]
+        for u in basis:
+            pre += [v ^ u for v in pre]
+        perms = {}
+        for g in auts:
+            img = [0]
+            for u in basis:
+                w = g.get(u, u)  # complement vectors lie outside P: fixed
+                img += [v ^ w for v in img]
+            perm = [0] * n
+            for v, w in zip(pre, img):
+                perm[v] = w
+            perms[tuple(perm)] = None
+        self.perms = list(perms)
+        self.least = least = [-1] * n
+        for s in range(n):
+            if least[s] < 0:
+                least[s] = s
+                frontier = [s]
+                while frontier:
+                    y = frontier.pop()
+                    for p in self.perms:
+                        z = p[y]
+                        if least[z] < 0:
+                            least[z] = s
+                            frontier.append(z)
+
+    def witness(self, x: int) -> list[int]:
+        """Columns of a composed map sending x below itself."""
+        seen = {x: list(range(1 << self.r))}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for p in self.perms:
+                z = p[y]
+                if z not in seen:
+                    comp = [p[v] for v in seen[y]]
+                    if z < x:
+                        return [comp[1 << i] for i in range(self.r)]
+                    seen[z] = comp
+                    frontier.append(z)
+        raise RuntimeError(f"{x} is the least point of its orbit")
 
 
 def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool, int]:

@@ -4,7 +4,8 @@ Two exact kernels back everything: a sparse pairwise-XOR kernel for small
 operands and a dense XOR-convolution kernel (Walsh-Hadamard transform) that
 yields the full ordered representation table in O(r * 2^r) arithmetic. The
 dense kernel is exact in int64 up to rank 20 (intermediate magnitudes are
-bounded by 2^(3r)); above that the code falls back to sparse accumulation.
+bounded by 2^(3r)); above that, count tables split both operands on the top
+coordinate and add exact rank-20 products.
 
 Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
@@ -130,11 +131,29 @@ def _cross_counts_sparse(B: ElementSet, C: ElementSet) -> np.ndarray:
     return np.bincount(xo, minlength=n).astype(np.int64)
 
 
+def _cross_counts_split(B: ElementSet, C: ElementSet) -> np.ndarray:
+    """Counts above the dense kernel's exact rank. Each operand splits on the
+    top coordinate into rank r-1 halves, B = B0 | (B1 + top); the low half of
+    the table is B0*C0 + B1*C1 and the high half B0*C1 + B1*C0."""
+    h = B.rank - 1
+    width = 1 << h
+    low = (1 << width) - 1
+    b0, b1 = ElementSet(h, B.bits & low), ElementSet(h, B.bits >> width)
+    c0, c1 = ElementSet(h, C.bits & low), ElementSet(h, C.bits >> width)
+    lower = _cross_counts(b0, c0) + _cross_counts(b1, c1)
+    if B.bits == C.bits:
+        upper = 2 * _cross_counts(b0, b1)
+    else:
+        upper = _cross_counts(b0, c1) + _cross_counts(b1, c0)
+    return np.concatenate((lower, upper))
+
+
 def _cross_counts(B: ElementSet, C: ElementSet) -> np.ndarray:
-    product = len(B) * len(C)
-    if product <= _SPARSE_PRODUCT_LIMIT or B.rank > _DENSE_MAX_RANK:
+    if len(B) * len(C) <= _SPARSE_PRODUCT_LIMIT:
         return _cross_counts_sparse(B, C)
-    return _cross_counts_dense(B, C)
+    if B.rank <= _DENSE_MAX_RANK:
+        return _cross_counts_dense(B, C)
+    return _cross_counts_split(B, C)
 
 
 def _counts_list_small(elems: list[int], n: int) -> list[int]:

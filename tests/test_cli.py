@@ -222,3 +222,27 @@ def test_cli_as_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_enumerate_time_budget_stops_close_to_limit():
+    code, payload, _ = run_cli(
+        ["enumerate", "minimal-saturating", "--r", "6", "--budget-secs", "1"]
+    )
+    assert code == 1 and payload["complete"] is False
+    assert payload["elapsed_seconds"] < 4
+
+
+def test_version_is_computed_only_for_the_flag(monkeypatch):
+    import f2sets.cli as cli
+
+    def no_git():
+        raise AssertionError("version looked up without --version")
+
+    monkeypatch.setattr(cli, "_version_string", no_git)
+    code, payload, _ = run_cli(["check", "sum-free", "--set", set_arg(2, [1, 2])])
+    assert code == 0 and payload["verdict"] is True
+    monkeypatch.setattr(cli, "_version_string", lambda: "9.9.9+test")
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["--version"]) == 0
+    assert out.getvalue() == "9.9.9+test\n"

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -215,3 +217,18 @@ def test_translate_bits_matches_elementwise():
             if (bits >> e) & 1:
                 want |= 1 << (e ^ g)
         assert got == want
+
+
+def test_iteration_matches_membership_on_both_paths():
+    # __iter__ peels bits for small sets and unpacks with numpy for large
+    # ones; both must list exactly the members, in ascending order.
+    from f2sets.core import _ITER_LOOP_MAX
+
+    rnd = random.Random(7)
+    for r in (1, 3, 6, 9, 14):
+        n = 1 << r
+        for size in {0, 1, min(n, _ITER_LOOP_MAX), min(n, _ITER_LOOP_MAX + 1), n // 2, n}:
+            members = sorted(rnd.sample(range(n), size))
+            A = ElementSet.from_elements(r, members)
+            assert list(A) == members
+            assert A.elements() == A.indices().tolist()

@@ -1,12 +1,16 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from f2sets import ElementSet, is_minimal_saturating, is_maximal_sum_free, is_sum_free
 from f2sets.rng import Xorshift64
 from f2sets.search import (
     SearchBudget,
+    _AuditLog,
+    _Enumerator,
+    _recheck_canonical_prune,
     canonical_form,
     enumerate_classes,
     find_example,
@@ -64,7 +68,9 @@ def test_canonical_matches_full_orbit_minimum(gl3):
             img = linear_image_bits(bits, list(cols), 3)
             if _word_less(img, best):
                 best = img
-        assert canonical_form(ElementSet(3, bits), "linear").set.bits == best
+        A = ElementSet(3, bits)
+        assert canonical_form(A, "linear").set.bits == best
+        assert _is_canonical(A, "linear")[0] == (bits == best)
 
 
 def test_class_count_of_triples_matches_burnside_oracle(gl3):
@@ -93,6 +99,35 @@ def test_affine_canonical_contains_zero():
         c = canonical_form(ElementSet(4, bits), "affine").set
         assert 0 in c
         assert len(c) == bits.bit_count()
+
+
+def _orbit_minima(r, maps, sets):
+    """Lexicographic orbit minimum of each set under the given maps, by brute
+    force. X precedes Y when the least element of X ^ Y is in X, i.e. when X
+    is larger with element order reversed, so the minimum is an argmax."""
+    n = 1 << r
+    perm = np.array([[apply_map(cols, e) for e in range(n)] for cols in maps])
+    rev = np.left_shift(np.int64(1), (n - 1) - perm)  # image of e, element order reversed
+    out = []
+    for bits in sets:
+        members = [e for e in range(n) if (bits >> e) & 1]
+        best = int(rev[:, members].sum(axis=1).max()) if members else 0
+        out.append(sum(1 << (n - 1 - i) for i in range(n) if (best >> i) & 1))
+    return out
+
+
+def test_engine_matches_orbit_minimum_gl4_sampled(gl4):
+    rnd = random.Random(34)
+    sets = []
+    for size in range(1, 16):
+        for _ in range(12):
+            sets.append(sum(1 << e for e in rnd.sample(range(1, 16), size)))
+    minima = _orbit_minima(4, gl4, sets)
+    sets += minima  # the minima themselves must test canonical
+    for bits, best in zip(sets, minima + minima):
+        A = ElementSet(4, bits)
+        assert canonical_form(A, "linear").set.bits == best
+        assert _is_canonical(A, "linear")[0] == (bits == best)
 
 
 def test_is_canonical_witness_is_verifiable():
@@ -177,6 +212,30 @@ def test_audit_mode_rechecks_pruned_nodes():
     assert report.audit is not None
     assert report.audit["checked"] > 0
     assert report.audit["failures"] == 0
+    # The stabiliser-orbit rule only reorders how rejects are found: the
+    # tree, its prune count and the classes stay those of the plain search.
+    assert {e.size: e.class_count for e in report.entries} == {9: 2, 10: 7, 11: 1, 16: 2}
+    assert report.nodes == 271
+    assert report.audit["pruned_total"] == 2603
+
+
+def test_orbit_rule_rejects_carry_valid_certificates():
+    log = _AuditLog(10**6, 9)
+    walker = _Enumerator(5, "minimal-saturating", "linear", 0, None, SearchBudget(), log)
+    walker.run()
+    orbit = [e for e in log.samples
+             if e["kind"] == "canonical" and e["extra"].get("rule") == "orbit"]
+    canonical = [e for e in log.samples if e["kind"] == "canonical"]
+    assert len(orbit) > len(canonical) // 2
+    for e in orbit:
+        A = ElementSet(5, e["bits"])
+        assert _recheck_canonical_prune(A, e["extra"])
+        # The map fixes the parent and moves the new point below itself.
+        top = e["bits"].bit_length() - 1
+        parent = e["bits"] ^ (1 << top)
+        cols = e["extra"]["cols"]
+        assert linear_image_bits(parent, cols, 5) == parent
+        assert apply_map(cols, top) < top
 
 
 def test_r5_maximal_sum_free_sizes():

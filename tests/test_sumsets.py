@@ -456,3 +456,34 @@ def test_sfnotround_preconditions():
         sfnotround_check(S, 1)
     with pytest.raises(ValueError):
         sfnotround_check(ElementSet.from_elements(5, [1, 2, 3] + list(range(16, 26))), 2)
+
+
+def test_split_counts_above_dense_rank_match_sparse():
+    # Rank 21 is past the dense kernel's exact range: the split path adds
+    # rank-20 products and must equal the pairwise kernel.
+    from f2sets.sumsets import _cross_counts_split
+
+    rng = np.random.default_rng(21)
+    r = 21
+    B = ElementSet.from_elements(r, rng.choice(1 << r, 300, replace=False).tolist())
+    C = ElementSet.from_elements(r, rng.choice(1 << r, 200, replace=False).tolist())
+    assert np.array_equal(_cross_counts_split(B, B), _cross_counts_sparse(B, B))
+    assert np.array_equal(_cross_counts_split(B, C), _cross_counts_sparse(B, C))
+    assert np.array_equal(rep_counts(B).counts, _cross_counts_sparse(B, B))
+
+
+def test_rep_counts_half_density_rank21():
+    from f2sets.core import indices_to_bits
+
+    # |A|^2 ~ 10^12 pairs: the sparse kernel cannot hold them, the split path
+    # must. N(d) = |A ∩ (A + d)| is checked directly for a few d.
+    rng = np.random.default_rng(5)
+    r = 21
+    member = rng.random(1 << r) < 0.5
+    A = ElementSet(r, indices_to_bits(np.flatnonzero(member), r))
+    table = rep_counts(A)
+    assert table.ordered(0) == len(A)
+    assert table.total() == len(A) ** 2
+    points = np.arange(1 << r)
+    for d in rng.choice(1 << r, 4, replace=False).tolist() + [1 << (r - 1)]:
+        assert table.ordered(d) == int(np.count_nonzero(member & member[points ^ d]))
