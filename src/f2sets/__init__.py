@@ -8,6 +8,7 @@ round sets, and isomorph-free exhaustive search, all behind a scriptable CLI.
 from .core import (
     MAX_RANK,
     ElementSet,
+    InternalError,
     QuotientView,
     RankMismatchError,
     Subgroup,
@@ -42,6 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "MAX_RANK",
     "ElementSet",
+    "InternalError",
     "QuotientView",
     "RankMismatchError",
     "Subgroup",

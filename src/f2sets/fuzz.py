@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from .core import ElementSet, Subgroup
+from .core import ElementSet, InternalError, Subgroup
 from .generators import census_fixture_suite, round_set_suite, sharpness_pair
 from .rng import Xorshift64
 from .search import enumerate_classes, round_property_check
@@ -197,7 +197,8 @@ def _embedded_coset_family(r: int, kappa: int) -> list[ElementSet]:
                 if not (inner_bits >> h) & 1:
                     coset_bits |= 1 << (g | h)
             S = ElementSet(r, coset_bits)
-            assert len(S) > floor
+            if len(S) <= floor:
+                raise InternalError(f"coset family member of size {len(S)} <= {floor}")
             out.append(S)
     return out
 
@@ -244,11 +245,16 @@ def fuzz_sfnotround(ranks=(5, 6), kappas=(2, 3)) -> dict:
     violations = []
     per_rank = {}
     for r in ranks:
+        # A larger kappa only raises the size floor, so its family is the
+        # smallest kappa's family filtered by size, in the same order.
+        family = qualifying_sum_free_sets(r, min(kappas))
         for kappa in kappas:
-            sets = qualifying_sum_free_sets(r, kappa)
+            floor = (1 << (r - 2)) + kappa
+            sets = [S for S in family if len(S) > floor]
             per_rank[f"r{r}_kappa{kappa}"] = len(sets)
             for S in sets:
-                assert is_sum_free(S)
+                if not is_sum_free(S):
+                    raise InternalError(f"qualifying set {S.elements()} is not sum-free")
                 rep = sfnotround_check(S, kappa)
                 checked += 1
                 if not rep:

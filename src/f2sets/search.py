@@ -11,9 +11,12 @@ Enumeration is orderly generation: a set is kept only if it is canonical, and
 children extend by elements above the current maximum. Removing the largest
 element of a canonical set leaves a canonical set, so the canonical sets form
 a tree and every equivalence class is visited exactly once. Profile prunes
-must be subset-closed with respect to the target family. Under the linear
-action, a child that an automorphism of its parent moves below itself is
-rejected without a test. The proofs live in docs/search-pruning.md.
+must be subset-closed with respect to the target family. Under a size cap,
+profiles whose accepted sets must cover the group drop children that too few
+points remain to complete. Under the linear action, a child that an
+automorphism of its parent moves below itself is rejected without a test;
+the affine test computes one translate per orbit of the set's automorphisms.
+The proofs live in docs/search-pruning.md.
 """
 
 from __future__ import annotations
@@ -296,13 +299,41 @@ def _is_linear_canonical(A: ElementSet) -> tuple[bool, list[int] | None, list[di
     return ok, cols, engine.auts
 
 
+def _translate_representatives(A: ElementSet, auts) -> list[int]:
+    """One nonzero g of A per orbit of the group the automorphisms generate.
+
+    A linear h with h(A) = A sends A + g to A + h(g), so translates by points
+    of one orbit share their linear canonical form. Any subgroup of Aut(A)
+    is sound; missing automorphisms only leave more translates to compute.
+    """
+    seen: set[int] = set()
+    reps = []
+    for g in A.nonzero():
+        if g in seen:
+            continue
+        reps.append(g)
+        seen.add(g)
+        frontier = [g]
+        while frontier:
+            y = frontier.pop()
+            for h in auts:
+                z = h[y]
+                if z not in seen:
+                    seen.add(z)
+                    frontier.append(z)
+    return reps
+
+
 def _affine_canonical_bits(A: ElementSet) -> int:
     if len(A) == 0:
         return 0
-    best = None
-    for g in A:
-        cand = _linear_canonical_bits(A.translate(g))
-        if best is None or _word_less(cand, best):
+    # The translates by points of A are those of A0 = A + min(A), which holds 0.
+    A0 = A.translate(A.min_element())
+    engine = _MinImage(A.rank, tuple(A0.nonzero().elements()))
+    best = engine.canonical_bits() | 1
+    for g in _translate_representatives(A0, engine.auts):
+        cand = _linear_canonical_bits(A0.translate(g))
+        if _word_less(cand, best):
             best = cand
     return best
 
@@ -341,12 +372,10 @@ def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None]:
             return True, None
         if 0 not in A:
             return False, {"kind": "affine", "shift": A.min_element(), "cols": None}
-        ok, cols, _ = _is_linear_canonical(A)
+        ok, cols, auts = _is_linear_canonical(A)
         if not ok:
             return False, {"kind": "affine", "shift": 0, "cols": cols}
-        for g in A:
-            if g == 0:
-                continue
+        for g in _translate_representatives(A, auts):
             cand = _linear_canonical_bits(A.translate(g))
             if _word_less(cand, A.bits):
                 return False, {"kind": "affine", "shift": g, "cols": None}
@@ -355,6 +384,14 @@ def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None]:
 
 
 # -- search profiles (incremental per-node state; prunes are subset-closed)
+
+
+def _can_cover(r: int, size: int, covered: int, room: int) -> bool:
+    """Whether `room` more points can complete to the whole group what a set
+    of `size` points covers now. Adding x to a set T covers at most x and
+    x + T, that is |T| + 1 new points, so room points add at most
+    room * size + room * (room + 1) / 2."""
+    return covered.bit_count() + room * size + room * (room + 1) // 2 >= 1 << r
 
 
 class SumFreeProfile:
@@ -388,6 +425,12 @@ class MaximalSumFreeProfile(SumFreeProfile):
         if (bits | two) != _full_mask(r):
             return False
         return bool(is_maximal_sum_free(ElementSet(r, bits)))
+
+    def reachable(self, r: int, state, room: int) -> bool:
+        """Whether a superset with at most `room` more points can cover the
+        group with A ∪ 2A, as `accept` requires."""
+        bits, two = state
+        return _can_cover(r, bits.bit_count(), bits | two, room)
 
 
 class MinimalSaturatingProfile:
@@ -442,6 +485,12 @@ class MinimalSaturatingProfile:
         if union != _full_mask(r):
             return False
         return bool(is_minimal_saturating(ElementSet(r, bits)))
+
+    def reachable(self, r: int, state, room: int) -> bool:
+        """Whether a superset with at most `room` more points can cover the
+        group, as `accept` requires."""
+        bits, union, counts = state
+        return _can_cover(r, bits.bit_count(), union, room)
 
     def describe_prune(self) -> str:
         return "no single removal may already cover the group"
@@ -581,11 +630,14 @@ class _AuditLog:
             r = entry["r"]
             A = ElementSet(r, entry["bits"])
             kind = entry["kind"]
-            ok = True
             if kind == "profile":
                 ok = _recheck_profile_prune(predicate, A)
             elif kind == "canonical":
                 ok = _recheck_canonical_prune(A, entry["extra"])
+            elif kind == "cap":
+                ok = _recheck_cap_drop(predicate, A, entry["extra"])
+            else:
+                ok = False
             checked += 1
             if not ok:
                 failures.append(entry)
@@ -611,6 +663,20 @@ def _recheck_profile_prune(predicate: str, A: ElementSet) -> bool:
     return True
 
 
+def _recheck_cap_drop(predicate: str, A: ElementSet, extra) -> bool:
+    """Re-derive a cap drop: with plain sumsets, A ∪ 2A must be too small for
+    `room` more points to complete it to the group, which both profiles that
+    drop children at the cap require of every accepted set."""
+    if predicate not in ("minimal-saturating", "maximal-sum-free"):
+        return False
+    room = extra.get("room") if isinstance(extra, dict) else None
+    if not isinstance(room, int) or room < 0:
+        return False
+    covered = len(A.union(sumset(A, A)))
+    size = len(A)
+    return covered + room * size + room * (room + 1) // 2 < 1 << A.rank
+
+
 def _recheck_canonical_prune(A: ElementSet, extra) -> bool:
     if not isinstance(extra, dict):
         return False
@@ -630,12 +696,16 @@ def _recheck_canonical_prune(A: ElementSet, extra) -> bool:
 
 
 class _Enumerator:
-    """One orderly-generation DFS over canonical sets (optionally a subtree)."""
+    """One orderly-generation DFS over canonical sets.
+
+    With stop_depth set (see `split`), visited nodes of that size are not
+    expanded but kept in `frontier` as (bits, state, last, auts), the
+    arguments of `expand`.
+    """
 
     def __init__(self, r: int, predicate: str, action: Action,
                  size_min: int, size_max: int | None,
-                 budget: SearchBudget, log: _AuditLog | None,
-                 stop_depth: int | None = None):
+                 budget: SearchBudget, log: _AuditLog | None):
         self.r = r
         self.n = group_order(r)
         self.predicate = predicate
@@ -645,47 +715,63 @@ class _Enumerator:
         self.size_max = size_max
         self.budget = budget
         self.log = log
-        self.stop_depth = stop_depth
+        self.stop_depth: int | None = None
         self.hits: dict[int, list[int]] = {}
-        self.frontier: list[int] = []
-        self._skip_accept_of: int | None = None
+        self.frontier: list[tuple] = []
+        # Profiles whose accepted sets must cover the group can drop children
+        # that the size cap leaves too few points to get there.
+        self._reachable = (getattr(self.profile, "reachable", None)
+                           if size_max is not None else None)
 
     def start_element(self) -> int:
         return 0 if (self.action != "linear" and self.predicate in _ZERO_ALLOWED) else 1
 
-    def run(self, bits: int = 0, state=None, last: int | None = None,
-            *, children_only: bool = False) -> None:
-        if state is None:
-            state = self.profile.root(self.r)
-            for x in ElementSet(self.r, bits):
-                state = self.profile.extend(self.r, state, x)
-                if state is None:
-                    raise ValueError("subtree root fails its own profile")
-        if last is None:
-            last = bits.bit_length() - 1 if bits else self.start_element() - 1
-        if children_only:
-            self._skip_accept_of = bits
-        self._visit(bits, state, last)
+    def run(self) -> None:
+        self._visit(0, self.profile.root(self.r), self.start_element() - 1)
+
+    def split(self, count: int) -> None:
+        """Visit the head of the tree level by level until the frontier holds
+        at least `count` nodes, the tree ends or the budget runs out."""
+        self.stop_depth = 0
+        self.run()
+        while self.frontier and len(self.frontier) < count and not self.budget.exceeded:
+            level, self.frontier = self.frontier, []
+            self.stop_depth += 1
+            for node in level:
+                self.expand(*node)
+                if self.budget.exceeded:
+                    break
 
     def _visit(self, bits: int, state, last: int, auts=()) -> None:
         if self.budget.tick():
             return
         size = bits.bit_count()
         if size >= self.size_min and (self.size_max is None or size <= self.size_max):
-            if bits != self._skip_accept_of and self.profile.accept(self.r, state):
+            if self.profile.accept(self.r, state):
                 self.hits.setdefault(size, []).append(bits)
         if self.size_max is not None and size >= self.size_max:
             return
         if self.stop_depth is not None and size >= self.stop_depth:
-            self.frontier.append(bits)
+            self.frontier.append((bits, state, last, auts))
             return
+        self.expand(bits, state, last, auts)
+
+    def expand(self, bits: int, state, last: int, auts=()) -> None:
+        """Visit the canonical children of a node already visited."""
         orbits = _StabiliserOrbits(self.r, bits, auts) if auts else None
+        reachable = self._reachable
+        if reachable is not None:
+            room = self.size_max - bits.bit_count() - 1
         for x in range(last + 1, self.n):
             state2 = self.profile.extend(self.r, state, x)
             child_bits = bits | (1 << x)
             if state2 is None:
                 if self.log:
                     self.log.record("profile", self.r, child_bits, None)
+                continue
+            if reachable is not None and not reachable(self.r, state2, room):
+                if self.log:
+                    self.log.record("cap", self.r, child_bits, {"room": room})
                 continue
             if orbits is not None and orbits.least[x] < x:
                 if self.log:
@@ -774,13 +860,13 @@ class _StabiliserOrbits:
         raise RuntimeError(f"{x} is the least point of its orbit")
 
 
-def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool, int]:
-    (r, predicate, action, size_min, size_max, root_bits,
-     max_nodes, max_seconds) = args
+def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool]:
+    """Expand one frontier node; the head already visited (and counted) it."""
+    r, predicate, action, size_min, size_max, node, max_nodes, max_seconds = args
     budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
     walker = _Enumerator(r, predicate, action, size_min, size_max, budget, None)
-    walker.run(root_bits, children_only=True)
-    return walker.hits, budget.nodes, budget.exceeded, root_bits
+    walker.expand(*node)
+    return walker.hits, budget.nodes, budget.exceeded
 
 
 def enumerate_classes(
@@ -800,8 +886,9 @@ def enumerate_classes(
 
     size_max caps the DFS depth: use only when supersets above the cap cannot
     satisfy the predicate, or the run is reported for that stratum alone.
-    With threads > 1 the subtrees below a shallow frontier run in a process
-    pool; the merged report equals the sequential one entry for entry.
+    With threads > 1 the head of the tree is searched level by level until
+    its frontier holds at least 2 * threads subtrees; those run in a process
+    pool, and the merged report equals the sequential one entry for entry.
     """
     if predicate not in PROFILES:
         raise ValueError(f"unknown predicate {predicate!r}; options: {sorted(PROFILES)}")
@@ -816,23 +903,20 @@ def enumerate_classes(
         nodes = budget.nodes
         exceeded = budget.exceeded
     else:
-        head = _Enumerator(r, predicate, action, size_min, size_max, budget, log,
-                           stop_depth=2)
-        head.run()
+        head = _Enumerator(r, predicate, action, size_min, size_max, budget, log)
+        head.split(2 * threads)
         hits = head.hits
         nodes = budget.nodes
         exceeded = budget.exceeded
         if head.frontier and not exceeded:
             from concurrent.futures import ProcessPoolExecutor
             tasks = [
-                (r, predicate, action, size_min, size_max, root,
+                (r, predicate, action, size_min, size_max, node,
                  budget.max_nodes, budget.max_seconds)
-                for root in sorted(head.frontier)
+                for node in head.frontier
             ]
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for sub_hits, sub_nodes, sub_exceeded, _root in pool.map(
-                    _subtree_worker, tasks
-                ):
+                for sub_hits, sub_nodes, sub_exceeded in pool.map(_subtree_worker, tasks):
                     nodes += sub_nodes
                     exceeded = exceeded or sub_exceeded
                     for size, reps in sub_hits.items():

@@ -13,6 +13,7 @@ from typing import Iterator, Literal
 
 from .core import (
     ElementSet,
+    InternalError,
     QuotientView,
     Subgroup,
     is_subgroup,
@@ -65,7 +66,8 @@ def decompose_saturating(A: ElementSet) -> list[Decomposition]:
         base = A.with_zero().translate(s).nonzero()
         if is_maximal_sum_free(base):
             dec = Decomposition("saturating", s, base)
-            assert dec.expand() == A
+            if dec.expand() != A:
+                raise InternalError(f"shifted-cap form with shift {s} does not expand to A")
             out.append(dec)
     return out
 
@@ -79,7 +81,8 @@ def decompose_round(A: ElementSet) -> list[Decomposition]:
         base = A.translate(g).nonzero()
         if is_sum_free(base):
             dec = Decomposition("round", g, base)
-            assert dec.expand() == A
+            if dec.expand() != A:
+                raise InternalError(f"round form with shift {g} does not expand to A")
             out.append(dec)
     return out
 
@@ -178,7 +181,8 @@ def construct_cap_replacement(base: ElementSet, shift: int) -> ElementSet:
         raise ValueError("the fixed point must belong to the cap")
     out = base.without_element(shift).translate(shift).with_element(shift)
     # Same set as the shifted-cap form with the same parameters.
-    assert out == construct_shifted_cap(base, shift)
+    if out != construct_shifted_cap(base, shift):
+        raise InternalError("cap replacement differs from the shifted-cap form")
     return out
 
 

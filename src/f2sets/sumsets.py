@@ -4,8 +4,9 @@ Two exact kernels back everything: a sparse pairwise-XOR kernel for small
 operands and a dense XOR-convolution kernel (Walsh-Hadamard transform) that
 yields the full ordered representation table in O(r * 2^r) arithmetic. The
 dense kernel is exact in int64 up to rank 20 (intermediate magnitudes are
-bounded by 2^(3r)); above that, count tables split both operands on the top
-coordinate and add exact rank-20 products.
+bounded by 2^(3r)); above that, count tables, and the sumsets read off their
+support, split both operands on the top coordinate and add exact rank-20
+products.
 
 Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
@@ -206,15 +207,8 @@ def sumset(B: ElementSet, C: ElementSet) -> ElementSet:
         # indices_to_bits scatters into an indicator, so repeated XORs collapse there.
         xo = np.bitwise_xor.outer(B.indices(), C.indices()).ravel()
         return ElementSet(r, indices_to_bits(xo, r))
-    if r <= _DENSE_MAX_RANK:
-        counts = _cross_counts_dense(B, C)
-        return ElementSet(r, indices_to_bits(np.flatnonzero(counts), r))
-    # Arbitrary-rank fallback: translate-accumulate over the smaller operand.
-    small, big = (B, C) if nb <= nc else (C, B)
-    acc = 0
-    for g in small:
-        acc |= translate_bits(big.bits, g, r)
-    return ElementSet(r, acc)
+    # Dense transform up to its exact rank, split products above it.
+    return ElementSet(r, indices_to_bits(np.flatnonzero(_cross_counts(B, C)), r))
 
 
 def two_a(A: ElementSet) -> ElementSet:

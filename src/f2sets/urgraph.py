@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, translate_bits
+from .core import ElementSet, InternalError, translate_bits
 from .sumsets import PredicateReport, unique_sums
 
 
@@ -71,7 +71,8 @@ def build(A: ElementSet) -> UrGraph:
             if d == 0:
                 continue
             both = A.bits & translate_bits(A.bits, d, A.rank)
-            assert both.bit_count() == 2, "unique sum must come from exactly one pair"
+            if both.bit_count() != 2:
+                raise InternalError(f"unique sum {d} does not come from exactly one pair")
             a = (both & -both).bit_length() - 1
             i, j = index[a], index[a ^ d]
             if i > j:

@@ -232,3 +232,46 @@ def test_iteration_matches_membership_on_both_paths():
             A = ElementSet.from_elements(r, members)
             assert list(A) == members
             assert A.elements() == A.indices().tolist()
+
+
+def test_from_elements_matches_on_both_paths():
+    # Bits are set one by one up to _FROM_LOOP_MAX members and scattered with
+    # numpy above; both must give the plain sum of powers and reject the same
+    # out-of-range element.
+    from f2sets.core import _FROM_LOOP_MAX
+
+    rnd = random.Random(8)
+    for r in (9, 12, 21):
+        n = 1 << r
+        for size in (_FROM_LOOP_MAX, _FROM_LOOP_MAX + 1, 4 * _FROM_LOOP_MAX):
+            members = rnd.sample(range(n), size)
+            assert ElementSet.from_elements(r, members).bits == sum(1 << e for e in members)
+            assert ElementSet.from_elements(r, iter(members + members[:3])).bits == \
+                sum(1 << e for e in members)
+            for bad in (-1, n):
+                with pytest.raises(ValueError, match=f"element {bad} out of range"):
+                    ElementSet.from_elements(r, members[:-1] + [bad])
+
+
+def test_swap_masks_match_the_division_formula():
+    from f2sets.core import _full_mask, _swap_mask
+
+    for r in range(1, 11):
+        for i in range(r):
+            s = 1 << i
+            assert _swap_mask(r, i) == _full_mask(r) // ((1 << (2 * s)) - 1) * ((1 << s) - 1)
+
+
+def test_no_assert_statements_in_the_package():
+    # Invariants must hold under python -O, which strips assert statements.
+    import ast
+    from pathlib import Path
+
+    import f2sets
+
+    found = []
+    for path in sorted(Path(f2sets.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []

@@ -11,6 +11,7 @@ from f2sets.search import (
     _AuditLog,
     _Enumerator,
     _recheck_canonical_prune,
+    _recheck_cap_drop,
     canonical_form,
     enumerate_classes,
     find_example,
@@ -130,6 +131,47 @@ def test_engine_matches_orbit_minimum_gl4_sampled(gl4):
         assert _is_canonical(A, "linear")[0] == (bits == best)
 
 
+def _affine_orbit_minima(r, gl, sets):
+    """Orbit minima under the affine group, by brute force: the orbit of A is
+    every linear image of every translate A + t."""
+    n = 1 << r
+    translates = [sum(1 << (e ^ t) for e in range(n) if (bits >> e) & 1)
+                  for bits in sets for t in range(n)]
+    minima = _orbit_minima(r, gl, translates)
+    out = []
+    for i in range(len(sets)):
+        best = minima[i * n]
+        for cand in minima[i * n + 1:(i + 1) * n]:
+            if _word_less(cand, best):
+                best = cand
+        out.append(best)
+    return out
+
+
+def _check_affine_verdicts(r, sets, minima):
+    for bits, best in zip(sets, minima):
+        A = ElementSet(r, bits)
+        assert canonical_form(A, "affine").set.bits == best
+        ok, cert = _is_canonical(A, "affine")
+        assert ok == (bits == best)
+        if not ok:
+            assert _recheck_canonical_prune(A, cert)
+
+
+def test_affine_verdicts_match_agl3_exhaustively(gl3):
+    sets = list(range(1 << 8))
+    _check_affine_verdicts(3, sets, _affine_orbit_minima(3, gl3, sets))
+
+
+def test_affine_verdicts_match_agl4_sampled(gl4):
+    rnd = random.Random(35)
+    sets = [sum(1 << e for e in rnd.sample(range(16), size))
+            for size in range(1, 17) for _ in range(6)]
+    minima = _affine_orbit_minima(4, gl4, sets)
+    # The minima themselves must test canonical.
+    _check_affine_verdicts(4, sets + minima, minima + minima)
+
+
 def test_is_canonical_witness_is_verifiable():
     rnd = random.Random(33)
     seen_witness = 0
@@ -190,12 +232,22 @@ def test_every_representative_passes_its_predicate():
 
 
 def test_enumeration_deterministic_and_parallel_equal():
-    a = enumerate_classes(5, "maximal-sum-free", action="linear")
-    b = enumerate_classes(5, "maximal-sum-free", action="linear")
-    c = enumerate_classes(5, "maximal-sum-free", action="linear", threads=2)
     key = lambda rep: [(e.size, e.class_count, tuple(s.bits for s in e.representatives))
-                       for e in rep.entries]
-    assert key(a) == key(b) == key(c)
+                       for e in rep.entries] + [rep.nodes]
+    for predicate in ("maximal-sum-free", "minimal-saturating"):
+        a = enumerate_classes(5, predicate, action="linear")
+        b = enumerate_classes(5, predicate, action="linear")
+        c = enumerate_classes(5, predicate, action="linear", threads=2)
+        assert key(a) == key(b) == key(c)
+
+
+def test_parallel_head_splits_into_enough_subtrees():
+    # Under the linear action the tree is a path down to {1, 2}; the head
+    # must go deeper than that before it has subtrees to hand out.
+    head = _Enumerator(5, "minimal-saturating", "linear", 0, None, SearchBudget(), None)
+    head.split(4)
+    assert len(head.frontier) >= 4
+    assert len({node[0] for node in head.frontier}) == len(head.frontier)
 
 
 def test_budget_exhaustion_reports_incomplete():
@@ -217,6 +269,60 @@ def test_audit_mode_rechecks_pruned_nodes():
     assert {e.size: e.class_count for e in report.entries} == {9: 2, 10: 7, 11: 1, 16: 2}
     assert report.nodes == 271
     assert report.audit["pruned_total"] == 2603
+
+
+@pytest.mark.parametrize("predicate", ["minimal-saturating", "maximal-sum-free"])
+def test_size_cap_keeps_the_uncapped_entries(predicate):
+    key = lambda entries: [(e.size, e.class_count, tuple(s.bits for s in e.representatives))
+                           for e in entries]
+    full = enumerate_classes(5, predicate, action="linear")
+    for cap in range(9, 17):
+        capped = enumerate_classes(5, predicate, action="linear", size_max=cap)
+        assert capped.complete
+        assert key(capped.entries) == key(e for e in full.entries if e.size <= cap)
+
+
+# The size-13 classes of the rank-6 minimal saturating stratum, as the search
+# found them before it dropped children the cap leaves unable to cover.
+RANK6_CAP13 = [
+    [1, 2, 3, 4, 5, 6, 8, 16, 31, 32, 47, 55, 56],
+    [1, 2, 3, 4, 5, 8, 10, 16, 28, 32, 44, 55, 59],
+    [1, 2, 3, 4, 5, 8, 9, 16, 30, 32, 46, 50, 61],
+    [1, 2, 3, 4, 5, 6, 8, 16, 25, 32, 41, 49, 62],
+    [1, 2, 3, 4, 5, 6, 8, 16, 24, 32, 40, 48, 63],
+    [1, 2, 3, 4, 5, 8, 9, 16, 30, 32, 46, 48, 63],
+    [1, 2, 4, 7, 8, 11, 13, 16, 30, 32, 46, 49, 63],
+    [1, 2, 3, 4, 5, 8, 14, 16, 25, 32, 41, 54, 63],
+]
+
+
+def test_rank6_stratum_at_cap_13():
+    report = enumerate_classes(6, "minimal-saturating", action="linear", size_max=13)
+    assert report.complete
+    assert [(e.size, e.class_count) for e in report.entries] == [(13, 8)]
+    assert [s.elements() for s in report.entries[0].representatives] == RANK6_CAP13
+
+
+def test_cap_drops_carry_valid_certificates():
+    for predicate in ("minimal-saturating", "maximal-sum-free"):
+        log = _AuditLog(10**6, 9)
+        walker = _Enumerator(5, predicate, "linear", 0, 10, SearchBudget(), log)
+        walker.run()
+        drops = [e for e in log.samples if e["kind"] == "cap"]
+        assert drops
+        for e in drops:
+            assert _recheck_cap_drop(predicate, ElementSet(5, e["bits"]), e["extra"])
+    report = enumerate_classes(5, "minimal-saturating", action="linear", size_max=10,
+                               audit=True, seed=9)
+    assert report.audit["failures"] == 0
+    assert report.audit["checked"] == report.audit["sampled"] > 0
+    # A saturating set already covers the group: no cap can justify dropping
+    # it, and an entry of unknown kind is never taken as checked.
+    covering = report.entries[0].representatives[0]
+    forged = _AuditLog(10, 1)
+    forged.record("cap", 5, covering.bits, {"room": 0})
+    forged.record("mystery", 5, covering.bits, None)
+    assert forged.verify("minimal-saturating")["failures"] == 2
 
 
 def test_orbit_rule_rejects_carry_valid_certificates():

@@ -487,3 +487,14 @@ def test_rep_counts_half_density_rank21():
     points = np.arange(1 << r)
     for d in rng.choice(1 << r, 4, replace=False).tolist() + [1 << (r - 1)]:
         assert table.ordered(d) == int(np.count_nonzero(member & member[points ^ d]))
+    assert sumset(A, A) == table.support()
+
+
+def test_sumset_above_dense_rank_matches_oracle():
+    # 2100^2 pairs exceed the pairwise kernel's limit at rank 21, where the
+    # dense kernel is not exact: the split count table must serve sumset.
+    rng = np.random.default_rng(22)
+    r = 21
+    B = ElementSet.from_elements(r, rng.choice(1 << r, 2100, replace=False).tolist())
+    C = ElementSet.from_elements(r, rng.choice(1 << r, 2100, replace=False).tolist())
+    assert sumset(B, C).elements() == sorted(oracle_sumset(B, C))
