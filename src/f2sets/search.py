@@ -26,14 +26,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Literal
 
+import numpy as np
+
 from .core import (
     ElementSet,
+    InternalError,
     _echelon_insert,
     _full_mask,
     _swap_mask,
     group_order,
     translate_bits,
 )
+from .generators import random_sum_free
 from .rng import Xorshift64
 from .sumsets import (
     is_maximal_sum_free,
@@ -386,12 +390,33 @@ def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None]:
 # -- search profiles (incremental per-node state; prunes are subset-closed)
 
 
-def _can_cover(r: int, size: int, covered: int, room: int) -> bool:
-    """Whether `room` more points can complete to the whole group what a set
-    of `size` points covers now. Adding x to a set T covers at most x and
-    x + T, that is |T| + 1 new points, so room points add at most
-    room * size + room * (room + 1) / 2."""
-    return covered.bit_count() + room * size + room * (room + 1) // 2 >= 1 << r
+def _can_cover(r: int, bits: int, covered: int, room: int) -> bool:
+    """Whether `room` more points, all above the maximum of the set `bits` as
+    orderly children add them, can complete what it covers to the group.
+
+    The i-th added point z covers at most the points of {z} ∪ (z + bits)
+    not covered yet, at most g for the best z above the maximum, and the
+    i - 1 sums z + z_j with earlier added points. At most
+    room' = min(room, points above the maximum) points can be added, so
+    they cover at most room'·g + room'(room' - 1)/2 new points. Since
+    g <= |bits| + 1, the cheaper room·|bits| + room(room + 1)/2 bound is
+    tried first, and g is only scanned for until room'·g suffices.
+    """
+    n = 1 << r
+    deficit = n - covered.bit_count()
+    if room * bits.bit_count() + room * (room + 1) // 2 < deficit:
+        return False
+    top = bits.bit_length() - 1
+    room = min(room, n - 1 - top)
+    need = deficit - room * (room - 1) // 2
+    if need <= 0:
+        return True
+    uncovered = _full_mask(r) ^ covered
+    for y in range(top + 1, n):
+        gain = (((1 << y) | translate_bits(bits, y, r)) & uncovered).bit_count()
+        if room * gain >= need:
+            return True
+    return False
 
 
 class SumFreeProfile:
@@ -430,7 +455,7 @@ class MaximalSumFreeProfile(SumFreeProfile):
         """Whether a superset with at most `room` more points can cover the
         group with A ∪ 2A, as `accept` requires."""
         bits, two = state
-        return _can_cover(r, bits.bit_count(), bits | two, room)
+        return _can_cover(r, bits, bits | two, room)
 
 
 class MinimalSaturatingProfile:
@@ -490,7 +515,7 @@ class MinimalSaturatingProfile:
         """Whether a superset with at most `room` more points can cover the
         group, as `accept` requires."""
         bits, union, counts = state
-        return _can_cover(r, bits.bit_count(), union, room)
+        return _can_cover(r, bits, union, room)
 
     def describe_prune(self) -> str:
         return "no single removal may already cover the group"
@@ -640,12 +665,14 @@ class _AuditLog:
                 ok = False
             checked += 1
             if not ok:
-                failures.append(entry)
+                failures.append({"kind": kind, "r": r, "set": A.to_json(),
+                                 "extra": entry["extra"]})
         return {
             "sampled": len(self.samples),
             "pruned_total": self.seen,
             "checked": checked,
             "failures": len(failures),
+            "failed_entries": failures,
         }
 
 
@@ -665,16 +692,24 @@ def _recheck_profile_prune(predicate: str, A: ElementSet) -> bool:
 
 def _recheck_cap_drop(predicate: str, A: ElementSet, extra) -> bool:
     """Re-derive a cap drop: with plain sumsets, A ∪ 2A must be too small for
-    `room` more points to complete it to the group, which both profiles that
-    drop children at the cap require of every accepted set."""
-    if predicate not in ("minimal-saturating", "maximal-sum-free"):
+    `room` more points above max(A) to complete it to the group, which both
+    profiles that drop children at the cap require of every accepted set.
+    With m = min(room, points above max(A)) and g the most points any such y
+    adds through {y} ∪ (y + A), the drop needs |A ∪ 2A| + m·g + m(m-1)/2 < 2^r."""
+    if predicate not in ("minimal-saturating", "maximal-sum-free") or not len(A):
         return False
     room = extra.get("room") if isinstance(extra, dict) else None
     if not isinstance(room, int) or room < 0:
         return False
-    covered = len(A.union(sumset(A, A)))
-    size = len(A)
-    return covered + room * size + room * (room + 1) // 2 < 1 << A.rank
+    r = A.rank
+    covered = A.union(sumset(A, A))
+    top = max(A)
+    gain = 0
+    for y in range(top + 1, 1 << r):
+        Y = ElementSet.from_elements(r, [y])
+        gain = max(gain, len(Y.union(sumset(A, Y)).difference(covered)))
+    m = min(room, (1 << r) - 1 - top)
+    return len(covered) + m * gain + m * (m - 1) // 2 < 1 << r
 
 
 def _recheck_canonical_prune(A: ElementSet, extra) -> bool:
@@ -861,9 +896,12 @@ class _StabiliserOrbits:
 
 
 def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool]:
-    """Expand one frontier node; the head already visited (and counted) it."""
-    r, predicate, action, size_min, size_max, node, max_nodes, max_seconds = args
-    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds)
+    """Expand one frontier node; the head already visited (and counted) it.
+    The time budget runs from the head's start: the monotonic clock is
+    system-wide, so every task stops at the same deadline."""
+    (r, predicate, action, size_min, size_max, node,
+     max_nodes, max_seconds, started) = args
+    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds, started=started)
     walker = _Enumerator(r, predicate, action, size_min, size_max, budget, None)
     walker.expand(*node)
     return walker.hits, budget.nodes, budget.exceeded
@@ -912,7 +950,7 @@ def enumerate_classes(
             from concurrent.futures import ProcessPoolExecutor
             tasks = [
                 (r, predicate, action, size_min, size_max, node,
-                 budget.max_nodes, budget.max_seconds)
+                 budget.max_nodes, budget.max_seconds, budget.started)
                 for node in head.frontier
             ]
             with ProcessPoolExecutor(max_workers=threads) as pool:
@@ -949,9 +987,10 @@ def plain_scan(
     *,
     include_zero: bool = False,
 ) -> list[ElementSet]:
-    """Exhaustive scan over all subsets (of the nonzero part by default).
-    Practical only for r <= 4; serves as the oracle for the symmetry-reduced
-    enumeration and as the engine for rank-4 acceptance checks."""
+    """Exhaustive scan over all subsets (of the nonzero part by default),
+    one predicate call per subset. Practical only for r <= 4; serves as the
+    reference for the symmetry-reduced enumeration and for the subset-lattice
+    pass of `verify_classification`."""
     if r > 4 and not include_zero:
         raise ValueError("plain scan above rank 4 is not a desk-scale operation")
     width = (1 << r) - (0 if include_zero else 1)
@@ -962,6 +1001,41 @@ def plain_scan(
         if accept(A):
             out.append(A)
     return out
+
+
+def _lattice_scan(r: int) -> tuple[list[ElementSet], list[ElementSet]]:
+    """Minimal saturating and maximal sum-free subsets of the nonzero points,
+    in one exhaustive pass over the subset lattice (r <= 4).
+
+    Mask m stands for the set m << 1. With x the largest point of m and
+    m' = m without x, 2m = 2m' ∪ (x + m') ∪ {0}: one translate per mask,
+    done for all masks with the same largest point at once. A set fits in
+    2^r <= 16 bits. m covers when m ∪ 2m is the group; covering is kept by
+    supersets, so m is minimal saturating when it covers and no m without a
+    does, and maximal sum-free when it covers and m ∩ 2m is empty. Every hit
+    is re-confirmed with the public predicates.
+    """
+    if r > 4:
+        raise ValueError("the subset-lattice pass is for ranks up to 4")
+    two = np.zeros(1, dtype=np.uint16)  # 2 of the empty set is empty
+    for x in range(1, 1 << r):
+        below = np.arange(len(two), dtype=np.uint16) << 1  # the masks without x
+        # translate_bits permutes the bits of every array entry at once.
+        two = np.concatenate([two, two | translate_bits(below, x, r) | 1])
+    masks = np.arange(len(two), dtype=np.uint16)
+    sets = masks << 1
+    cover = (sets | two) == _full_mask(r)
+    removal_covers = np.zeros_like(cover)
+    for i in range((1 << r) - 1):
+        removal_covers |= ((masks >> i) & 1).astype(bool) & cover[masks ^ (1 << i)]
+    minimal = [ElementSet(r, int(b)) for b in sets[cover & ~removal_covers]]
+    max_sf = [ElementSet(r, int(b)) for b in sets[cover & ((sets & two) == 0)]]
+    for check, found in ((is_minimal_saturating, minimal), (is_maximal_sum_free, max_sf)):
+        for A in found:
+            if not check(A):
+                raise InternalError(f"lattice pass and {check.__name__} disagree on "
+                                    f"{A.elements()}")
+    return minimal, max_sf
 
 
 def threshold_value(name: str, r: int) -> Fraction:
@@ -989,8 +1063,9 @@ def verify_classification(
     a shifted-cap decomposition, and that every shifted-cap construction is
     minimal saturating.
 
-    At r <= 4 this is a plain scan of every subset; at r = 5 an isomorph-free
-    DFS with the no-removal-covers prune. The returned report carries the size
+    At r <= 4 this is one exhaustive pass over the subset lattice that finds
+    both families (`_lattice_scan`); above, an isomorph-free DFS with the
+    no-removal-covers prune. The returned report carries the size
     spectrum, the converse check, and any counterexample verbatim.
     """
     thr = threshold if isinstance(threshold, Fraction) else threshold_value(threshold, r)
@@ -1002,13 +1077,12 @@ def verify_classification(
     audit_result = None
 
     if r <= 4:
-        minimal_sets = plain_scan(r, lambda A: bool(is_minimal_saturating(A)) if len(A) else False)
+        minimal_sets, max_sf = _lattice_scan(r)
         nodes = 1 << ((1 << r) - 1)
         for A in minimal_sets:
             spectrum[len(A)] = spectrum.get(len(A), 0) + 1
             if len(A) > thr and not decompose_saturating(A):
                 counterexamples.append(A)
-        max_sf = plain_scan(r, lambda A: bool(is_maximal_sum_free(A)) if 0 not in A else False)
         converse_ok = True
         converse_count = 0
         minimal_bits = {A.bits for A in minimal_sets}
@@ -1123,23 +1197,11 @@ def find_example(
             if not shrunk:
                 return bits
 
-    def random_max_sum_free() -> int:
-        order = list(range(1, n))
-        rng.shuffle(order)
-        bits = 0
-        two = 1
-        for x in order:
-            if (bits >> x) & 1 or (two >> x) & 1:
-                continue
-            two |= translate_bits(bits, x, r) | 1
-            bits |= 1 << x
-        return bits
-
     for _ in range(max_restarts):
         if predicate == "minimal-saturating":
             bits = trim(random_saturating())
         else:
-            bits = random_max_sum_free()
+            bits = random_sum_free(rng, r, maximal=True).bits
         if bits.bit_count() == target_size:
             A = ElementSet(r, bits)
             if check(A):

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 
@@ -230,6 +231,16 @@ def test_enumerate_time_budget_stops_close_to_limit():
     )
     assert code == 1 and payload["complete"] is False
     assert payload["elapsed_seconds"] < 4
+
+
+def test_threaded_time_budget_bounds_the_whole_run():
+    # Every pool task stops at the deadline of the whole run.
+    t0 = time.monotonic()
+    code, payload, _ = run_cli(
+        ["enumerate", "minimal-saturating", "--r", "6", "--budget-secs", "1", "--threads", "2"]
+    )
+    assert code == 1 and payload["complete"] is False
+    assert time.monotonic() - t0 < 4
 
 
 def test_version_is_computed_only_for_the_flag(monkeypatch):

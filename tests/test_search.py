@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from f2sets.search import (
     SearchBudget,
     _AuditLog,
     _Enumerator,
+    _lattice_scan,
     _recheck_canonical_prune,
     _recheck_cap_drop,
+    _subtree_worker,
     canonical_form,
     enumerate_classes,
     find_example,
@@ -250,6 +253,17 @@ def test_parallel_head_splits_into_enough_subtrees():
     assert len({node[0] for node in head.frontier}) == len(head.frontier)
 
 
+def test_pool_task_stops_at_the_run_deadline():
+    # A task handed out after the run's time budget is spent visits one node.
+    head = _Enumerator(6, "minimal-saturating", "linear", 0, None, SearchBudget(), None)
+    head.split(4)
+    node = head.frontier[-1]
+    started = time.monotonic() - 5
+    args = (6, "minimal-saturating", "linear", 0, None, node, None, 1.0, started)
+    hits, nodes, exceeded = _subtree_worker(args)
+    assert exceeded and nodes == 1 and not hits
+
+
 def test_budget_exhaustion_reports_incomplete():
     report = enumerate_classes(5, "sum-free", action="linear",
                                budget=SearchBudget(max_nodes=5))
@@ -275,11 +289,16 @@ def test_audit_mode_rechecks_pruned_nodes():
 def test_size_cap_keeps_the_uncapped_entries(predicate):
     key = lambda entries: [(e.size, e.class_count, tuple(s.bits for s in e.representatives))
                            for e in entries]
-    full = enumerate_classes(5, predicate, action="linear")
-    for cap in range(9, 17):
-        capped = enumerate_classes(5, predicate, action="linear", size_max=cap)
-        assert capped.complete
-        assert key(capped.entries) == key(e for e in full.entries if e.size <= cap)
+    # Rank 4 runs every cap; some of its classes end at the top point 15, so
+    # no point is left above them to add.
+    for r, caps in ((4, range(1, 16)), (5, range(9, 17))):
+        full = enumerate_classes(r, predicate, action="linear")
+        tops = {s.bits.bit_length() - 1 for e in full.entries for s in e.representatives}
+        assert r == 5 or (1 << r) - 1 in tops
+        for cap in caps:
+            capped = enumerate_classes(r, predicate, action="linear", size_max=cap)
+            assert capped.complete
+            assert key(capped.entries) == key(e for e in full.entries if e.size <= cap), (r, cap)
 
 
 # The size-13 classes of the rank-6 minimal saturating stratum, as the search
@@ -301,6 +320,8 @@ def test_rank6_stratum_at_cap_13():
     assert report.complete
     assert [(e.size, e.class_count) for e in report.entries] == [(13, 8)]
     assert [s.elements() for s in report.entries[0].representatives] == RANK6_CAP13
+    # Nodes left by the coverage bound of docs/search-pruning.md §6.
+    assert report.nodes == 427
 
 
 def test_cap_drops_carry_valid_certificates():
@@ -322,7 +343,24 @@ def test_cap_drops_carry_valid_certificates():
     forged = _AuditLog(10, 1)
     forged.record("cap", 5, covering.bits, {"room": 0})
     forged.record("mystery", 5, covering.bits, None)
-    assert forged.verify("minimal-saturating")["failures"] == 2
+    result = forged.verify("minimal-saturating")
+    assert result["failures"] == 2
+    assert result["failed_entries"] == [
+        {"kind": "cap", "r": 5, "set": covering.to_json(), "extra": {"room": 0}},
+        {"kind": "mystery", "r": 5, "set": covering.to_json(), "extra": None},
+    ]
+
+
+def test_cap_recheck_counts_points_above_the_maximum():
+    # Without its largest point y, a minimal saturating set S covers less than
+    # the group, and y alone completes it: room 1 can never justify a drop.
+    for e in enumerate_classes(5, "minimal-saturating", action="linear").entries:
+        for S in e.representatives:
+            top = max(S)
+            rest = S.without_element(top)
+            assert not _recheck_cap_drop("minimal-saturating", rest, {"room": 1})
+            # With no room at all, the uncovered points stay uncovered.
+            assert _recheck_cap_drop("minimal-saturating", rest, {"room": 0})
 
 
 def test_orbit_rule_rejects_carry_valid_certificates():
@@ -359,6 +397,13 @@ def test_r5_minimal_saturating_spectrum():
 
 
 # -- verifiers
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_lattice_scan_matches_plain_scan(r):
+    minimal, max_sf = _lattice_scan(r)
+    assert minimal == plain_scan(r, lambda A: len(A) > 0 and bool(is_minimal_saturating(A)))
+    assert max_sf == plain_scan(r, lambda A: bool(is_maximal_sum_free(A)))
 
 
 def test_threshold_values():
@@ -402,6 +447,24 @@ def test_find_example_deterministic():
     assert is_minimal_saturating(a)
     c = find_example(5, "minimal-saturating", 11, seed=78)
     assert c is not None and is_minimal_saturating(c)
+
+
+# find_example("maximal-sum-free") results recorded before it shared the
+# greedy cap grower of generators.random_sum_free.
+FIND_MAX_SUM_FREE = {
+    (4, 5, 1): [2, 4, 7, 10, 11],
+    (4, 6, 3): None,
+    (5, 9, 7): [2, 6, 7, 12, 15, 16, 17, 24, 25],
+    (5, 10, 11): [1, 4, 6, 8, 11, 17, 18, 24, 29, 31],
+    (5, 16, 2): [1, 3, 5, 7, 8, 10, 12, 14, 16, 18, 20, 22, 25, 27, 29, 31],
+    (6, 17, 5): [1, 2, 7, 19, 23, 25, 26, 28, 31, 35, 37, 42, 47, 49, 55, 59, 62],
+}
+
+
+def test_find_example_maximal_sum_free_is_unchanged():
+    for (r, size, seed), want in FIND_MAX_SUM_FREE.items():
+        got = find_example(r, "maximal-sum-free", size, seed, max_restarts=3000)
+        assert (got and got.elements()) == want, (r, size, seed)
 
 
 def test_find_example_returns_none_when_impossible():
