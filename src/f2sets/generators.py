@@ -7,11 +7,9 @@ reproduces the exact corpus on any platform.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .core import ElementSet, Subgroup, indices_to_bits, translate_bits
+from .core import ElementSet, Subgroup, _echelon_insert, translate_bits
 from .rng import Xorshift64
-from .sumsets import rep_counts
+from .sumsets import _removals_losing, _unique_nonzero, rep_counts
 from .structure import CensusError, coset_census
 from .urgraph import build, isolated_edges
 
@@ -56,25 +54,22 @@ def random_sum_free(rng: Xorshift64, r: int, *, maximal: bool = False) -> Elemen
 def trim_to_round(A: ElementSet, rng: Xorshift64) -> ElementSet:
     """Remove redundant elements (removal keeps 2A) until the set is round.
 
-    An element a is redundant iff no b in A has a + b with exactly one
-    unordered representation. Each step draws uniformly among the redundant
-    elements in ascending order; the ordered count table is updated in place
-    on each removal instead of being recomputed.
+    By the removal rule of `sumsets` the redundant elements are A ∖ (A + U(A)).
+    Each step draws uniformly among them in ascending order; the ordered count
+    table is updated in place on each removal instead of being recomputed.
     """
     idx = A.indices()
     counts = rep_counts(A).counts.copy()
     while len(idx) > 1:
-        unique = counts == 2
-        unique[0] = False  # 0 = a + a never certifies a non-redundant element
-        redundant = np.flatnonzero(~unique[np.bitwise_xor.outer(idx, idx)].any(axis=1))
-        if len(redundant) == 0:
+        redundant = A.difference(_removals_losing(A, _unique_nonzero(counts, A.rank)))
+        if not len(redundant):
             break
-        k = int(redundant[rng.randrange(len(redundant))])
-        a = idx[k]
-        idx = np.delete(idx, k)
+        a = int(redundant.indices()[rng.randrange(len(redundant))])
+        A = A.without_element(a)
+        idx = idx[idx != a]
         counts[idx ^ a] -= 2
         counts[0] -= 1
-    return ElementSet(A.rank, indices_to_bits(idx, A.rank))
+    return A
 
 
 def random_round_set(rng: Xorshift64, r: int) -> ElementSet:
@@ -126,20 +121,13 @@ def random_invertible(rng: Xorshift64, r: int) -> list[int]:
     """A uniformly random invertible matrix as column images of the basis."""
     while True:
         cols = [1 + rng.randrange((1 << r) - 1) for _ in range(r)]
-        seen: dict[int, int] = {}
-        ok = True
+        pivots: dict[int, int] = {}
         for c in cols:
-            v = c
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in seen:
-                    seen[lead] = v
-                    break
-                v ^= seen[lead]
-            else:
-                ok = False
+            res = _echelon_insert(pivots, c)
+            if not res:
                 break
-        if ok:
+            pivots[res.bit_length() - 1] = res
+        else:
             return cols
 
 

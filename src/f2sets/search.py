@@ -24,7 +24,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Any, Callable, Literal
 
 import numpy as np
 
@@ -37,13 +37,16 @@ from .core import (
     group_order,
     translate_bits,
 )
-from .generators import random_sum_free
+from .generators import linear_image, random_sum_free
 from .rng import Xorshift64
 from .sumsets import (
+    _removals_losing,
+    _unique_nonzero,
     is_maximal_sum_free,
     is_minimal_saturating,
     is_round,
     is_sum_free,
+    rep_counts,
     sumset,
     unique_sums,
 )
@@ -263,27 +266,6 @@ class _MinImage:
         return [dom[1 << i] for i in range(self.r)]
 
 
-def apply_cols(cols: list[int], x: int) -> int:
-    out = 0
-    i = 0
-    while x:
-        if x & 1:
-            out ^= cols[i]
-        x >>= 1
-        i += 1
-    return out
-
-
-def linear_image_bits(bits: int, cols: list[int], r: int) -> int:
-    out = 0
-    b = bits
-    while b:
-        low = b & -b
-        out |= 1 << apply_cols(cols, low.bit_length() - 1)
-        b ^= low
-    return out
-
-
 @dataclass(frozen=True)
 class CanonicalForm:
     set: ElementSet
@@ -463,59 +445,41 @@ class MinimalSaturatingProfile:
 
     Subsets of a minimal saturating set always pass: a covering removal in the
     subset would stay covering in the full set, contradicting minimality.
+
+    The state of P is (P, 2P ∪ {0}, U(P)) as bitsets, U(P) the nonzero unique
+    sums. Adding x > max P adds the sums T = x + P; they are distinct, so each
+    gains one pair: U' = (U ∖ T) ∪ (T ∖ 2P) and 2P' = 2P ∪ T ∪ {0}. A covering
+    P' is pruned when (P' ∩ 2P') ∖ (P' + (U' ∖ P')) is non-empty, the removal
+    rule of `sumsets` (docs/search-pruning.md §2).
     """
 
     def root(self, r: int):
-        return (0, 0, [0] * (1 << r))  # (bits, union bits, ordered counts)
+        return (0, 1, 0)
 
     def extend(self, r: int, state, x: int):
-        bits, union, counts = state
-        new_counts = counts.copy()
-        b = bits
-        while b:
-            low = b & -b
-            new_counts[(low.bit_length() - 1) ^ x] += 2
-            b ^= low
-        new_counts[0] += 1
-        new_bits = bits | (1 << x)
-        new_union = union | (1 << x) | translate_bits(bits, x, r) | 1
-        full = _full_mask(r)
-        if new_union == full and self._some_removal_covers(r, new_bits, new_counts):
-            return None
-        return (new_bits, new_union, new_counts)
-
-    @staticmethod
-    def _some_removal_covers(r: int, bits: int, counts) -> bool:
-        # Dropping a keeps the union covering iff a itself stays in the sumset
-        # and no outside element with a single unordered pair loses it to a.
-        n = 1 << r
-        at_risk = []
-        for d in range(1, n):
-            if counts[d] == 2 and not (bits >> d) & 1:
-                at_risk.append(d)
-        b = bits
-        while b:
-            lowbit = b & -b
-            a = lowbit.bit_length() - 1
-            b ^= lowbit
-            if not counts[a]:
-                continue
-            if any((bits >> (a ^ d)) & 1 for d in at_risk):
-                continue
-            return True
-        return False
+        bits, two, unique = state
+        t = translate_bits(bits, x, r)
+        unique = (unique & ~t) | (t & ~two)
+        two |= t | 1
+        bits |= 1 << x
+        if bits | two == _full_mask(r):
+            P = ElementSet(r, bits)
+            outside = ElementSet(r, unique & ~bits)
+            if bits & two & ~_removals_losing(P, outside).bits:
+                return None
+        return (bits, two, unique)
 
     def accept(self, r: int, state) -> bool:
-        bits, union, counts = state
-        if union != _full_mask(r):
+        bits, two, _ = state
+        if bits | two != _full_mask(r):
             return False
         return bool(is_minimal_saturating(ElementSet(r, bits)))
 
     def reachable(self, r: int, state, room: int) -> bool:
         """Whether a superset with at most `room` more points can cover the
         group, as `accept` requires."""
-        bits, union, counts = state
-        return _can_cover(r, bits, union, room)
+        bits, two, _ = state
+        return _can_cover(r, bits, bits | two, room)
 
     def describe_prune(self) -> str:
         return "no single removal may already cover the group"
@@ -717,8 +681,7 @@ def _recheck_canonical_prune(A: ElementSet, extra) -> bool:
         return False
     if extra.get("cols"):
         cols = extra["cols"]
-        img = linear_image_bits(A.bits & ~1, cols, A.rank) | (A.bits & 1)
-        if not _word_less(img, A.bits):
+        if not _word_less(linear_image(A, cols).bits, A.bits):
             return False
         # The witness must be invertible: its columns span the group.
         from .core import span as _span
@@ -892,7 +855,35 @@ class _StabiliserOrbits:
                         return [comp[1 << i] for i in range(self.r)]
                     seen[z] = comp
                     frontier.append(z)
-        raise RuntimeError(f"{x} is the least point of its orbit")
+        raise InternalError(f"{x} is the least point of its orbit")
+
+
+@dataclass
+class _SharedNodeBudget(SearchBudget):
+    """A pool task's budget under a node limit. The limit applies to a count
+    shared by the head and every task of the run, so the run stops one node
+    past it, as the sequential run does; a tick that finds it already passed
+    counts no node."""
+
+    shared: Any = None  # multiprocessing.Value: the run's node count
+
+    def tick(self) -> bool:
+        with self.shared.get_lock():
+            if self.shared.value > self.max_nodes:
+                self.exceeded = True
+                return True
+            self.shared.value += 1
+            if self.shared.value > self.max_nodes:
+                self.exceeded = True
+        return super().tick()
+
+
+_run_nodes = None  # in a pool worker under a node limit: the run's node count
+
+
+def _init_worker(counter) -> None:
+    global _run_nodes
+    _run_nodes = counter
 
 
 def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool]:
@@ -901,7 +892,11 @@ def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool]:
     system-wide, so every task stops at the same deadline."""
     (r, predicate, action, size_min, size_max, node,
      max_nodes, max_seconds, started) = args
-    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds, started=started)
+    if _run_nodes is None:
+        budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds, started=started)
+    else:
+        budget = _SharedNodeBudget(max_nodes=max_nodes, max_seconds=max_seconds,
+                                   started=started, shared=_run_nodes)
     walker = _Enumerator(r, predicate, action, size_min, size_max, budget, None)
     walker.expand(*node)
     return walker.hits, budget.nodes, budget.exceeded
@@ -948,12 +943,16 @@ def enumerate_classes(
         exceeded = budget.exceeded
         if head.frontier and not exceeded:
             from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import Value
             tasks = [
                 (r, predicate, action, size_min, size_max, node,
                  budget.max_nodes, budget.max_seconds, budget.started)
                 for node in head.frontier
             ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            # The node count is shared from the head's count on.
+            counter = Value("q", nodes) if budget.max_nodes is not None else None
+            with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                                     initargs=(counter,)) as pool:
                 for sub_hits, sub_nodes, sub_exceeded in pool.map(_subtree_worker, tasks):
                     nodes += sub_nodes
                     exceeded = exceeded or sub_exceeded
@@ -1172,30 +1171,19 @@ def find_example(
         return bits
 
     def trim(bits: int) -> int:
-        # Remove elements in random order while the union keeps covering.
+        # Remove elements in random order while the union keeps covering: the
+        # first removable one in shuffled order, by the removal rule.
         while True:
-            elems = []
-            b = bits
-            while b:
-                low = b & -b
-                elems.append(low.bit_length() - 1)
-                b ^= low
+            A = ElementSet(r, bits)
+            elems = A.elements()
             rng.shuffle(elems)
-            shrunk = False
-            for a in elems:
-                rest = bits & ~(1 << a)
-                two = 0
-                bb = rest
-                while bb:
-                    low = bb & -bb
-                    two |= translate_bits(rest, low.bit_length() - 1, r)
-                    bb ^= low
-                if (rest | two) == full:
-                    bits = rest
-                    shrunk = True
-                    break
-            if not shrunk:
+            table = rep_counts(A)
+            outside = _unique_nonzero(table.counts, r).difference(A)
+            removable = bits & table.support().bits & ~_removals_losing(A, outside).bits
+            a = next((a for a in elems if (removable >> a) & 1), None)
+            if a is None:
                 return bits
+            bits ^= 1 << a
 
     for _ in range(max_restarts):
         if predicate == "minimal-saturating":

@@ -12,6 +12,17 @@ Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
 (a, a) counted once). Operations that quantify representations state which
 convention they use.
+
+Removal rule. Write U(A) = {d != 0 : N(d) = 2} for the nonzero unique sums.
+Dropping a from A removes the ordered pairs (a, y) and (y, a). Two distinct
+unordered pairs with one sum are disjoint, so d loses its last pair exactly
+when its only pair contains a, and for |A| >= 2
+
+    2(A ∖ {a}) = 2A ∖ {d in U(A) : a + d in A}.
+
+So for watched points W inside U(A), the elements whose removal loses a point
+of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets, minimal
+saturating sets, the search profile and both trimmers all use this one rule.
 """
 
 from __future__ import annotations
@@ -23,14 +34,18 @@ import numpy as np
 
 from .core import (
     ElementSet,
+    InternalError,
     RankMismatchError,
     indices_to_bits,
     period,
-    translate_bits,
 )
 
 # Kernel cutovers, tunable. Sparse work is |B| * |C|; dense work is ~3 * r * 2^r.
 _PY_PRODUCT_LIMIT = 1500
+# A Python loop over the pairs of two different sets loses to the numpy outer
+# XOR from about 100-130 pairs at every rank from 4 to 10 (2 vCPUs, Python
+# 3.11, numpy 2.4).
+_PY_CROSS_LIMIT = 128
 _SPARSE_PRODUCT_LIMIT = 1 << 22
 _DENSE_MAX_RANK = 20
 
@@ -56,6 +71,11 @@ class PredicateReport:
         return out
 
 
+def _mask_bits(mask: np.ndarray) -> int:
+    """The set of indices where a boolean table over the group is true, as bits."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 @dataclass(frozen=True)
 class RepCountTable:
     """Ordered representation counts N(d) = #{(a1, a2) in A x A : a1 + a2 = d}."""
@@ -77,12 +97,12 @@ class RepCountTable:
 
     def support(self) -> ElementSet:
         """The sumset 2A: all d with at least one representation."""
-        return ElementSet(self.rank, indices_to_bits(np.flatnonzero(self.counts), self.rank))
+        return ElementSet(self.rank, _mask_bits(self.counts != 0))
 
     def at_least(self, k: int) -> ElementSet:
         if k < 1:
             raise ValueError("multiplicity threshold must be >= 1")
-        return ElementSet(self.rank, indices_to_bits(np.flatnonzero(self.counts >= k), self.rank))
+        return ElementSet(self.rank, _mask_bits(self.counts >= k))
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -197,10 +217,11 @@ def sumset(B: ElementSet, C: ElementSet) -> ElementSet:
     product = nb * nc
     if same and product <= _PY_PRODUCT_LIMIT:
         return ElementSet(r, _pair_sum_bits(B.elements()))
-    if product <= _PY_PRODUCT_LIMIT:
+    if product <= _PY_CROSS_LIMIT:
+        cs = C.elements()  # listed once: each iteration peels the 2^r-bit integer
         bits = 0
         for b in B:
-            for c in C:
+            for c in cs:
                 bits |= 1 << (b ^ c)
         return ElementSet(r, bits)
     if product <= _SPARSE_PRODUCT_LIMIT:
@@ -227,32 +248,20 @@ def mult_sumset(B: ElementSet, C: ElementSet, k: int) -> ElementSet:
     return ElementSet(B.rank, indices_to_bits(np.flatnonzero(counts >= k), B.rank))
 
 
-def _ordered_counts(A: ElementSet):
-    """Length-2^r ordered count table as a plain list (small) or ndarray."""
-    n = 1 << A.rank
-    size = len(A)
-    if n <= 256 and size * size <= 4096:
-        return _counts_list_small(A.elements(), n)
-    return _cross_counts(A, A)
+def _unique_nonzero(counts: np.ndarray, rank: int) -> ElementSet:
+    """U(A): the d != 0 whose ordered count is exactly 2 (one unordered pair)."""
+    return ElementSet(rank, _mask_bits(counts == 2) & ~1)
 
 
-def _doubles_bits(counts, rank: int) -> int:
-    """Bitset of d != 0 whose ordered count is exactly 2 (one unordered pair)."""
-    if isinstance(counts, list):
-        bits = 0
-        for d in range(1, len(counts)):
-            if counts[d] == 2:
-                bits |= 1 << d
-        return bits
-    hits = np.flatnonzero(counts == 2)
-    bits = indices_to_bits(hits, rank)
-    return bits & ~1
+def _removals_losing(A: ElementSet, W: ElementSet) -> ElementSet:
+    """The elements of A whose removal drops a point of W from 2A, for W
+    inside U(A): by the removal rule (module docstring) they are A ∩ (A + W)."""
+    return A.intersect(sumset(A, W))
 
 
 def unique_sums(A: ElementSet) -> ElementSet:
     """The set of elements with exactly one unordered representation from A + A."""
-    counts = _ordered_counts(A)
-    bits = _doubles_bits(counts, A.rank)
+    bits = _unique_nonzero(rep_counts(A).counts, A.rank).bits
     if len(A) == 1:
         bits |= 1  # 0 = a + a is the unique representation
     return ElementSet(A.rank, bits)
@@ -273,7 +282,7 @@ def is_sum_free(A: ElementSet) -> PredicateReport:
                 "sum-free", False, witness={"triple": [a, a ^ d, d]},
                 detail=f"{a} + {a ^ d} = {d}, all in the set",
             )
-    raise AssertionError("unreachable: element of 2A without a pair")
+    raise InternalError("unreachable: element of 2A without a pair")
 
 
 def is_maximal_sum_free(A: ElementSet) -> PredicateReport:
@@ -303,59 +312,42 @@ def is_saturating(A: ElementSet) -> PredicateReport:
     return PredicateReport("saturating", True)
 
 
-def _nonremovable_bits(A: ElementSet, counts) -> tuple[int, int]:
-    """Helper for minimality: returns (twoA_bits, bits of doubles outside A).
-
-    Removing a from a saturating A keeps it saturating iff a is still covered
-    (a in 2A; pairs for a never involve a itself since 0 is excluded) and no
-    d outside A loses its last representation. The only candidates for the
-    latter are d != 0 with exactly one unordered pair, that pair involving a.
-    """
-    if isinstance(counts, list):
-        two_bits = 0
-        for d, c in enumerate(counts):
-            if c:
-                two_bits |= 1 << d
-    else:
-        two_bits = indices_to_bits(np.flatnonzero(counts), A.rank)
-    d2_outside = _doubles_bits(counts, A.rank) & ~A.bits
-    return two_bits, d2_outside
-
-
 def is_minimal_saturating(A: ElementSet) -> PredicateReport:
-    """Minimal saturating: saturating, and removing any single element breaks it."""
-    sat = is_saturating(A)
-    if not sat:
-        return PredicateReport(
-            "minimal-saturating", False, witness=sat.witness, detail="not saturating"
-        )
-    r = A.rank
-    counts = _ordered_counts(A)
-    two_bits, d2_outside = _nonremovable_bits(A, counts)
-    for a in A:
-        covered_after = (two_bits >> a) & 1
-        breaks_outside = translate_bits(A.bits, a, r) & d2_outside
-        if covered_after and not breaks_outside:
-            return PredicateReport("minimal-saturating", False, witness={"removable": a})
+    """Minimal saturating: saturating, and removing any single element breaks it.
+
+    Removing a from a saturating A keeps it saturating iff a stays covered
+    (a in 2A: 0 is not in A, so no pair for a involves a) and no point
+    outside A loses its last pair, which by the removal rule leaves
+    (A ∩ 2A) ∖ (A + (U(A) ∖ A)) as the removable elements.
+    """
+    if 0 in A:
+        raise ValueError("saturating sets live in the nonzero part of the group")
+    table = rep_counts(A)
+    two = table.support()
+    uncovered = A.union(two).complement()
+    if len(uncovered):
+        return PredicateReport("minimal-saturating", False, detail="not saturating",
+                               witness={"uncovered": uncovered.min_element()})
+    outside = _unique_nonzero(table.counts, A.rank).difference(A)
+    removable = A.intersect(two).difference(_removals_losing(A, outside))
+    if len(removable):
+        return PredicateReport("minimal-saturating", False,
+                               witness={"removable": removable.min_element()})
     return PredicateReport("minimal-saturating", True)
 
 
 def is_round(A: ElementSet) -> PredicateReport:
     """Round: removing any single element strictly shrinks the sumset 2A.
 
-    Computed by removal bookkeeping on the ordered count table: dropping a
-    removes the pairs (a, y) and (y, a), so 2(A without a) loses d exactly
-    when d != 0, N(d) = 2 and a + d lies in A (the empty and singleton sets
-    are round by convention).
+    By the removal rule the redundant elements are A ∖ (A + U(A)) (the
+    empty and singleton sets are round by convention).
     """
     if len(A) <= 1:
         return PredicateReport("round", True)
-    r = A.rank
-    counts = _ordered_counts(A)
-    d2 = _doubles_bits(counts, r)
-    for a in A:
-        if not (translate_bits(A.bits, a, r) & d2):
-            return PredicateReport("round", False, witness={"redundant": a})
+    unique = _unique_nonzero(rep_counts(A).counts, A.rank)
+    redundant = A.difference(_removals_losing(A, unique))
+    if len(redundant):
+        return PredicateReport("round", False, witness={"redundant": redundant.min_element()})
     return PredicateReport("round", True)
 
 

@@ -263,15 +263,21 @@ def test_swap_masks_match_the_division_formula():
 
 
 def test_no_assert_statements_in_the_package():
-    # Invariants must hold under python -O, which strips assert statements.
+    # Invariants must hold under python -O, which strips assert statements,
+    # and a failed invariant raises core.InternalError, not AssertionError.
     import ast
     from pathlib import Path
 
     import f2sets
 
+    def raises_assertion_error(node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
     found = []
     for path in sorted(Path(f2sets.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
+                  if isinstance(node, ast.Assert)
+                  or (isinstance(node, ast.Raise) and raises_assertion_error(node))]
     assert found == []

@@ -75,6 +75,42 @@ def test_random_invertible_spans():
             assert span(ElementSet.from_elements(r, cols)).dim == r
 
 
+# random_invertible outputs recorded before it shared core._echelon_insert:
+# (seed, rank) -> three successive matrices and the next raw draw.
+RANDOM_INVERTIBLE = {
+    (1, 2): ([[2, 3], [2, 1], [3, 2]], 15011257152325972353),
+    (2, 3): ([[6, 3, 1], [4, 2, 5], [5, 3, 4]], 4640032404552860777),
+    (5, 4): ([[3, 6, 14, 10], [5, 9, 1, 10], [8, 6, 15, 11]], 16804155141958556269),
+    (9, 6): ([[4, 55, 7, 19, 34, 61], [23, 19, 27, 61, 36, 52], [22, 46, 32, 15, 39, 3]],
+             14270025057512230275),
+    (42, 8): ([[57, 200, 78, 133, 44, 52, 145, 5], [206, 251, 33, 121, 201, 195, 222, 153],
+               [180, 241, 96, 111, 225, 153, 106, 191]], 6704777267908281807),
+}
+
+# census_fixture_suite(6, 30, seed=8) set bits, recorded at the same point.
+CENSUS_R6_SEED8 = [
+    6917573008260728433, 437469324958050561, 9394895859914637833,
+    451486997930935301, 40537347401736195, 297541045854712321,
+    11962691462317491369, 6953566620898444493, 3107484857699140125,
+    1176594007678650465, 6341637032133068305, 16429276597927350293,
+    9948733092925735745, 117093887738151445, 91639073642382999,
+    2473197586723410453, 9529628391021871131, 14582803504584196101,
+    1155314460708044865, 289497616021523713, 4613673944577781761,
+    2306417160555077633, 186340932520640673, 4722027920426541273,
+    2889130079995592963, 45673747378635285, 9809097277625729155,
+    8091473201014507653, 306915517590446087, 3034977573873688577,
+]
+
+
+def test_random_invertible_draws_are_unchanged():
+    for (seed, r), (want, next_draw) in RANDOM_INVERTIBLE.items():
+        rng = Xorshift64(seed)
+        assert [random_invertible(rng, r) for _ in range(3)] == want
+        assert rng.next_u64() == next_draw
+    suite = census_fixture_suite(6, 30, seed=8)
+    assert [A.bits for A, _, _ in suite] == CENSUS_R6_SEED8
+
+
 def test_linear_image_preserves_structure():
     rng = Xorshift64(6)
     S = random_sum_free(rng, 5, maximal=True)

@@ -5,20 +5,29 @@ import time
 import numpy as np
 import pytest
 
-from f2sets import ElementSet, is_minimal_saturating, is_maximal_sum_free, is_sum_free
+from f2sets import (
+    ElementSet,
+    is_maximal_sum_free,
+    is_minimal_saturating,
+    is_sum_free,
+    sumset,
+    unique_sums,
+)
+from f2sets.generators import linear_image
 from f2sets.rng import Xorshift64
 from f2sets.search import (
+    MinimalSaturatingProfile,
     SearchBudget,
     _AuditLog,
     _Enumerator,
     _lattice_scan,
     _recheck_canonical_prune,
     _recheck_cap_drop,
+    _recheck_profile_prune,
     _subtree_worker,
     canonical_form,
     enumerate_classes,
     find_example,
-    linear_image_bits,
     plain_scan,
     second_largest_check,
     threshold_value,
@@ -60,7 +69,7 @@ def test_canonical_idempotent_and_invariant(gl3):
         c = canonical_form(A, "linear").set
         assert canonical_form(c, "linear").set == c
         cols = list(rnd.choice(gl3))
-        image = ElementSet(3, linear_image_bits(bits, cols, 3))
+        image = linear_image(A, cols)
         assert canonical_form(image, "linear").set == c
 
 
@@ -69,7 +78,7 @@ def test_canonical_matches_full_orbit_minimum(gl3):
         bits = mask << 1
         best = bits
         for cols in gl3:
-            img = linear_image_bits(bits, list(cols), 3)
+            img = linear_image(ElementSet(3, bits), cols).bits
             if _word_less(img, best):
                 best = img
         A = ElementSet(3, bits)
@@ -84,7 +93,7 @@ def test_class_count_of_triples_matches_burnside_oracle(gl3):
         bits = sum(1 << e for e in combo)
         best = bits
         for cols in gl3:
-            img = linear_image_bits(bits, list(cols), 3)
+            img = linear_image(ElementSet(3, bits), cols).bits
             if _word_less(img, best):
                 best = img
         orbits.add(best)
@@ -183,7 +192,7 @@ def test_is_canonical_witness_is_verifiable():
         A = ElementSet(5, bits)
         ok, cert = _is_canonical(A, "linear")
         if not ok and cert["cols"]:
-            img = linear_image_bits(bits, cert["cols"], 5)
+            img = linear_image(A, cert["cols"]).bits
             assert _word_less(img, bits)
             seen_witness += 1
     assert seen_witness > 100
@@ -264,6 +273,24 @@ def test_pool_task_stops_at_the_run_deadline():
     assert exceeded and nodes == 1 and not hits
 
 
+@pytest.mark.parametrize("threads", [2, 4])
+def test_node_budget_holds_across_threads(threads):
+    key = lambda rep: [(e.size, e.class_count, tuple(s.bits for s in e.representatives))
+                       for e in rep.entries] + [rep.nodes]
+    # Head and pool tasks draw on one node count, not one budget per task:
+    # like the sequential run, the run stops at the first node past the
+    # limit (a lost update to the shared count would show as more nodes).
+    capped = enumerate_classes(5, "minimal-saturating", action="linear",
+                               budget=SearchBudget(max_nodes=100), threads=threads)
+    assert not capped.complete
+    assert capped.nodes == 101
+    sequential = enumerate_classes(5, "minimal-saturating", action="linear")
+    ample = enumerate_classes(5, "minimal-saturating", action="linear",
+                              budget=SearchBudget(max_nodes=10**6), threads=threads)
+    assert ample.complete
+    assert key(ample) == key(sequential)
+
+
 def test_budget_exhaustion_reports_incomplete():
     report = enumerate_classes(5, "sum-free", action="linear",
                                budget=SearchBudget(max_nodes=5))
@@ -283,6 +310,36 @@ def test_audit_mode_rechecks_pruned_nodes():
     assert {e.size: e.class_count for e in report.entries} == {9: 2, 10: 7, 11: 1, 16: 2}
     assert report.nodes == 271
     assert report.audit["pruned_total"] == 2603
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_minimal_saturating_profile_state_matches_scratch(r):
+    # Every subset of the nonzero points, reached by ascending extends: the
+    # state is (P, 2P ∪ {0}, U(P)), and extend prunes exactly the sets with a
+    # covering single removal. A pruned child's walk goes on from its state
+    # recomputed from scratch, so supersets of pruned sets are checked too.
+    profile = MinimalSaturatingProfile()
+
+    def scratch(bits):
+        P = ElementSet(r, bits)
+        return (bits, sumset(P, P).bits | 1, unique_sums(P).bits & ~1)
+
+    root = profile.root(r)
+    assert root == scratch(0)
+    stack = [(0, root, 0)]
+    visited = 0
+    while stack:
+        bits, state, last = stack.pop()
+        for x in range(last + 1, 1 << r):
+            child = bits | (1 << x)
+            got = profile.extend(r, state, x)
+            want = scratch(child)
+            pruned = _recheck_profile_prune("minimal-saturating", ElementSet(r, child))
+            assert (got is None) == pruned, child
+            assert got is None or got == want, child
+            stack.append((child, want, x))
+            visited += 1
+    assert visited == (1 << ((1 << r) - 1)) - 1
 
 
 @pytest.mark.parametrize("predicate", ["minimal-saturating", "maximal-sum-free"])
@@ -378,7 +435,7 @@ def test_orbit_rule_rejects_carry_valid_certificates():
         top = e["bits"].bit_length() - 1
         parent = e["bits"] ^ (1 << top)
         cols = e["extra"]["cols"]
-        assert linear_image_bits(parent, cols, 5) == parent
+        assert linear_image(ElementSet(5, parent), cols).bits == parent
         assert apply_map(cols, top) < top
 
 
@@ -464,6 +521,31 @@ FIND_MAX_SUM_FREE = {
 def test_find_example_maximal_sum_free_is_unchanged():
     for (r, size, seed), want in FIND_MAX_SUM_FREE.items():
         got = find_example(r, "maximal-sum-free", size, seed, max_restarts=3000)
+        assert (got and got.elements()) == want, (r, size, seed)
+
+
+# find_example("minimal-saturating") results recorded before its trimmer
+# took the removable elements from one count table per removal.
+FIND_MIN_SATURATING = {
+    (3, 4, 1): [2, 3, 4, 5],
+    (4, 5, 2): [3, 4, 6, 8, 9],
+    (4, 6, 3): [4, 6, 9, 10, 12, 13],
+    (4, 7, 4): None,
+    (4, 8, 9): [3, 5, 6, 9, 10, 11, 12, 15],
+    (5, 9, 5): [2, 5, 6, 14, 15, 16, 17, 30, 31],
+    (5, 10, 6): [2, 5, 8, 9, 14, 16, 18, 19, 23, 29],
+    (5, 11, 77): [1, 2, 4, 8, 9, 11, 14, 17, 19, 28, 29],
+    (5, 12, 8): None,
+    (5, 16, 2): None,
+    (6, 13, 3): [6, 8, 18, 21, 22, 23, 26, 32, 34, 41, 49, 55, 59],
+    (6, 17, 4): [2, 5, 6, 8, 9, 11, 14, 21, 30, 33, 35, 38, 40, 43, 45, 50, 51],
+    (6, 22, 5): None,
+}
+
+
+def test_find_example_minimal_saturating_is_unchanged():
+    for (r, size, seed), want in FIND_MIN_SATURATING.items():
+        got = find_example(r, "minimal-saturating", size, seed, max_restarts=300)
         assert (got and got.elements()) == want, (r, size, seed)
 
 
