@@ -164,10 +164,9 @@ def cmd_sumset(args) -> int:
     B = _load_set(args)
     C = _load_set(args, "set2", required=False) or B
     S = sumset(B, C)
-    table = rep_counts(B) if C.bits == B.bits else None
     payload = {"sumset": S.to_json(), "count": len(S)}
-    if table is not None and args.counts:
-        payload["ordered_counts"] = [int(c) for c in table.counts]
+    if args.counts and C.bits == B.bits:
+        payload["ordered_counts"] = [int(c) for c in rep_counts(B).counts]
     return _emit(payload, f"|B+C| = {len(S)}", 0)
 
 

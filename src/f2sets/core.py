@@ -87,20 +87,27 @@ def translate_bits(bits: int, g: int, r: int) -> int:
     return bits
 
 
+def _bits_to_mask(bits: int, r: int) -> np.ndarray:
+    """A 2^r-bit integer as a 0/1 uint8 table over the group: entry i is bit i."""
+    n = 1 << r
+    buf = bits.to_bytes(max(1, n // 8), "little")
+    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little", count=n)
+
+
+def _mask_to_bits(mask: np.ndarray) -> int:
+    """The indices where a boolean (or 0/1) table over the group is true, as bits."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
 def bits_to_indices(bits: int, r: int) -> np.ndarray:
     """Set-bit positions of a 2^r-bit integer as an int64 array."""
-    n = 1 << r
-    nbytes = max(1, n // 8)
-    buf = bits.to_bytes(nbytes, "little")
-    flat = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little", count=n)
-    return np.flatnonzero(flat)
+    return np.flatnonzero(_bits_to_mask(bits, r))
 
 
 def indices_to_bits(indices: np.ndarray, r: int) -> int:
-    n = 1 << r
-    flat = np.zeros(n, dtype=np.uint8)
+    flat = np.zeros(1 << r, dtype=np.uint8)
     flat[indices] = 1
-    return int.from_bytes(np.packbits(flat, bitorder="little").tobytes(), "little")
+    return _mask_to_bits(flat)
 
 
 class ElementSet:

@@ -143,7 +143,14 @@ def apply_linear(cols: list[int], x: int) -> int:
 
 
 def linear_image(A: ElementSet, cols: list[int]) -> ElementSet:
-    return ElementSet.from_elements(A.rank, (apply_linear(cols, x) for x in A))
+    n = 1 << A.rank
+    bits = 0
+    for x in A:
+        y = apply_linear(cols, x)
+        if not 0 <= y < n:
+            raise ValueError(f"image {y} out of range for rank {A.rank}")
+        bits |= 1 << y
+    return ElementSet(A.rank, bits)
 
 
 # Round sets with two isolated edges whose census satisfies every per-coset

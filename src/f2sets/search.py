@@ -422,9 +422,6 @@ class SumFreeProfile:
     def accept(self, r: int, state) -> bool:
         return bool(is_sum_free(ElementSet(r, state[0])))
 
-    def describe_prune(self) -> str:
-        return "partial set stays sum-free"
-
 
 class MaximalSumFreeProfile(SumFreeProfile):
     def accept(self, r: int, state) -> bool:
@@ -481,9 +478,6 @@ class MinimalSaturatingProfile:
         bits, two, _ = state
         return _can_cover(r, bits, bits | two, room)
 
-    def describe_prune(self) -> str:
-        return "no single removal may already cover the group"
-
 
 class PlainProfile:
     """No pruning: enumerate every subset (use only at tiny ranks)."""
@@ -500,9 +494,6 @@ class PlainProfile:
 
     def accept(self, r: int, state) -> bool:
         return self._accept(ElementSet(r, state))
-
-    def describe_prune(self) -> str:
-        return "none"
 
 
 PROFILES: dict[str, Callable[[], object]] = {

@@ -325,9 +325,6 @@ class CosetCensus:
     def count(self, tag: str) -> int:
         return self.type_counts.get(tag, 0)
 
-    def level_count(self, i: int) -> int:
-        return sum(v for k, v in self.type_counts.items() if k[0] == str(i))
-
     @property
     def size_hypothesis(self) -> bool:
         return self.set_size > (1 << (self.rank - 2)) + 3

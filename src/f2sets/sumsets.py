@@ -1,12 +1,28 @@
 """Sumsets, representation counts, unique sums, and the set predicates built on them.
 
-Two exact kernels back everything: a sparse pairwise-XOR kernel for small
-operands and a dense XOR-convolution kernel (Walsh-Hadamard transform) that
-yields the full ordered representation table in O(r * 2^r) arithmetic. The
-dense kernel is exact in int64 up to rank 20 (intermediate magnitudes are
-bounded by 2^(3r)); above that, count tables, and the sumsets read off their
-support, split both operands on the top coordinate and add exact rank-20
-products.
+Sum kernels, one per regime, all exact:
+
+- Python pair loop (`_pair_sum_bits`), for `sumset` only, while it performs
+  at most `_PY_PAIR_LIMIT` = 128 XORs: n(n-1)/2 for B = C, |B|*|C|
+  otherwise. The numpy pairs kernel costs 10-25 us at these sizes; the loop
+  ties with it at 100-130 pairs for B != C and at 55-90 XORs for B = C, and
+  at 703 XORs (B = C, 38 points) takes 66-120 us against 13-23 us (ranks
+  4-10; 2 vCPUs, Python 3.11, numpy 2.4).
+- numpy pairs (`_pair_xors`), up to `_SPARSE_PRODUCT_LIMIT` = 2^22 ordered
+  pairs (a 32 MB XOR array): `sumset` scatters the XORs into an indicator,
+  count tables bincount them. At rank 20 with 10^6 pairs the scatter takes
+  10 ms against 15 ms for reading the support of a bincount. The limit
+  ignores the rank: past about 2.5*10^5 pairs at rank >= 10 the dense kernel
+  is already faster.
+- Walsh-Hadamard dense (`_cross_counts_dense`), past that limit up to rank
+  `_DENSE_MAX_RANK` = 20: the full ordered table in O(r * 2^r), exact in
+  int64 because intermediate magnitudes are bounded by 2^(3r).
+- Split (`_cross_counts_split`), above rank 20: both operands split on the
+  top coordinate and exact rank-(r-1) tables are added.
+
+Count tables (`rep_counts`, `mult_sumset` with k >= 2) take the last three
+through `_cross_counts`; `sumset` takes all four, reading the support of a
+count table past the numpy limit.
 
 Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
@@ -36,16 +52,14 @@ from .core import (
     ElementSet,
     InternalError,
     RankMismatchError,
+    _bits_to_mask,
+    _mask_to_bits,
     indices_to_bits,
     period,
 )
 
-# Kernel cutovers, tunable. Sparse work is |B| * |C|; dense work is ~3 * r * 2^r.
-_PY_PRODUCT_LIMIT = 1500
-# A Python loop over the pairs of two different sets loses to the numpy outer
-# XOR from about 100-130 pairs at every rank from 4 to 10 (2 vCPUs, Python
-# 3.11, numpy 2.4).
-_PY_CROSS_LIMIT = 128
+# Kernel cut-overs; the module docstring gives the measurement behind each.
+_PY_PAIR_LIMIT = 128
 _SPARSE_PRODUCT_LIMIT = 1 << 22
 _DENSE_MAX_RANK = 20
 
@@ -71,11 +85,6 @@ class PredicateReport:
         return out
 
 
-def _mask_bits(mask: np.ndarray) -> int:
-    """The set of indices where a boolean table over the group is true, as bits."""
-    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
-
-
 @dataclass(frozen=True)
 class RepCountTable:
     """Ordered representation counts N(d) = #{(a1, a2) in A x A : a1 + a2 = d}."""
@@ -97,12 +106,7 @@ class RepCountTable:
 
     def support(self) -> ElementSet:
         """The sumset 2A: all d with at least one representation."""
-        return ElementSet(self.rank, _mask_bits(self.counts != 0))
-
-    def at_least(self, k: int) -> ElementSet:
-        if k < 1:
-            raise ValueError("multiplicity threshold must be >= 1")
-        return ElementSet(self.rank, _mask_bits(self.counts >= k))
+        return ElementSet(self.rank, _mask_to_bits(self.counts != 0))
 
     def total(self) -> int:
         return int(self.counts.sum())
@@ -122,34 +126,29 @@ def _walsh_int64(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def _indicator(A: ElementSet) -> np.ndarray:
-    n = 1 << A.rank
-    buf = A.bits.to_bytes(max(1, n // 8), "little")
-    return np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little", count=n).astype(np.int64)
-
-
 def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
     r = B.rank
     if r > _DENSE_MAX_RANK:
-        raise ValueError(f"dense kernel is exact only up to rank {_DENSE_MAX_RANK}")
-    fb = _walsh_int64(_indicator(B))
+        raise InternalError(f"dense kernel called at rank {r}, exact only up to {_DENSE_MAX_RANK}")
+    fb = _walsh_int64(_bits_to_mask(B.bits, r))
     if C.bits == B.bits:
         fb *= fb
     else:
-        fb *= _walsh_int64(_indicator(C))
+        fb *= _walsh_int64(_bits_to_mask(C.bits, r))
     out = _walsh_int64(fb)
     out >>= r  # exact: the inverse transform is divisible by 2^r
     return out
 
 
-def _cross_counts_sparse(B: ElementSet, C: ElementSet) -> np.ndarray:
-    n = 1 << B.rank
+def _pair_xors(B: ElementSet, C: ElementSet) -> np.ndarray:
+    """Every b + c over B x C, repeats included, as one flat array."""
     bi = B.indices()
-    ci = C.indices()
-    if len(bi) == 0 or len(ci) == 0:
-        return np.zeros(n, dtype=np.int64)
-    xo = np.bitwise_xor.outer(bi, ci).ravel()
-    return np.bincount(xo, minlength=n).astype(np.int64)
+    ci = bi if C.bits == B.bits else C.indices()
+    return np.bitwise_xor.outer(bi, ci).ravel()
+
+
+def _cross_counts_sparse(B: ElementSet, C: ElementSet) -> np.ndarray:
+    return np.bincount(_pair_xors(B, C), minlength=1 << B.rank).astype(np.int64, copy=False)
 
 
 def _cross_counts_split(B: ElementSet, C: ElementSet) -> np.ndarray:
@@ -170,6 +169,7 @@ def _cross_counts_split(B: ElementSet, C: ElementSet) -> np.ndarray:
 
 
 def _cross_counts(B: ElementSet, C: ElementSet) -> np.ndarray:
+    """Ordered counts of b + c over B x C: the one count dispatch."""
     if len(B) * len(C) <= _SPARSE_PRODUCT_LIMIT:
         return _cross_counts_sparse(B, C)
     if B.rank <= _DENSE_MAX_RANK:
@@ -177,31 +177,17 @@ def _cross_counts(B: ElementSet, C: ElementSet) -> np.ndarray:
     return _cross_counts_split(B, C)
 
 
-def _counts_list_small(elems: list[int], n: int) -> list[int]:
-    counts = [0] * n
-    counts[0] = len(elems)
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            counts[a ^ b] += 2
-    return counts
-
-
 def rep_counts(A: ElementSet) -> RepCountTable:
     """Full ordered representation table for A + A."""
-    size = len(A)
-    n = 1 << A.rank
-    if n <= 256 and size * size <= 4096:
-        counts = np.array(_counts_list_small(A.elements(), n), dtype=np.int64)
-    else:
-        counts = _cross_counts(A, A)
-    return RepCountTable(A.rank, size, counts)
+    return RepCountTable(A.rank, len(A), _cross_counts(A, A))
 
 
-def _pair_sum_bits(elems: list[int]) -> int:
-    bits = 1 if elems else 0
-    for i, a in enumerate(elems):
-        for b in elems[i + 1 :]:
-            bits |= 1 << (a ^ b)
+def _pair_sum_bits(bs: list[int], cs: list[int], same: bool) -> int:
+    """The Python pair loop: every b + c, or for B = C the pairs i < j plus 0 = b + b."""
+    bits = 1 if same else 0
+    for i, b in enumerate(bs):
+        for c in cs[i + 1 :] if same else cs:
+            bits |= 1 << (b ^ c)
     return bits
 
 
@@ -214,22 +200,13 @@ def sumset(B: ElementSet, C: ElementSet) -> ElementSet:
     if nb == 0 or nc == 0:
         return ElementSet.empty(r)
     same = B.bits == C.bits
-    product = nb * nc
-    if same and product <= _PY_PRODUCT_LIMIT:
-        return ElementSet(r, _pair_sum_bits(B.elements()))
-    if product <= _PY_CROSS_LIMIT:
-        cs = C.elements()  # listed once: each iteration peels the 2^r-bit integer
-        bits = 0
-        for b in B:
-            for c in cs:
-                bits |= 1 << (b ^ c)
-        return ElementSet(r, bits)
-    if product <= _SPARSE_PRODUCT_LIMIT:
+    if (nb * (nb - 1) // 2 if same else nb * nc) <= _PY_PAIR_LIMIT:
+        bs = B.elements()  # listed once: each iteration peels the 2^r-bit integer
+        return ElementSet(r, _pair_sum_bits(bs, bs if same else C.elements(), same))
+    if nb * nc <= _SPARSE_PRODUCT_LIMIT:
         # indices_to_bits scatters into an indicator, so repeated XORs collapse there.
-        xo = np.bitwise_xor.outer(B.indices(), C.indices()).ravel()
-        return ElementSet(r, indices_to_bits(xo, r))
-    # Dense transform up to its exact rank, split products above it.
-    return ElementSet(r, indices_to_bits(np.flatnonzero(_cross_counts(B, C)), r))
+        return ElementSet(r, indices_to_bits(_pair_xors(B, C), r))
+    return ElementSet(r, _mask_to_bits(_cross_counts(B, C) != 0))
 
 
 def two_a(A: ElementSet) -> ElementSet:
@@ -244,13 +221,12 @@ def mult_sumset(B: ElementSet, C: ElementSet, k: int) -> ElementSet:
         raise RankMismatchError(f"rank {B.rank} vs {C.rank}")
     if k == 1:
         return sumset(B, C)
-    counts = _cross_counts(B, C)
-    return ElementSet(B.rank, indices_to_bits(np.flatnonzero(counts >= k), B.rank))
+    return ElementSet(B.rank, _mask_to_bits(_cross_counts(B, C) >= k))
 
 
 def _unique_nonzero(counts: np.ndarray, rank: int) -> ElementSet:
     """U(A): the d != 0 whose ordered count is exactly 2 (one unordered pair)."""
-    return ElementSet(rank, _mask_bits(counts == 2) & ~1)
+    return ElementSet(rank, _mask_to_bits(counts == 2) & ~1)
 
 
 def _removals_losing(A: ElementSet, W: ElementSet) -> ElementSet:

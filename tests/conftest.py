@@ -20,6 +20,16 @@ def oracle_rep_counts(A: ElementSet) -> list[int]:
     return counts
 
 
+def oracle_mult_sumset(B: ElementSet, C: ElementSet, k: int) -> set[int]:
+    """Elements with at least k ordered pairs (b, c), by double loop."""
+    counts = [0] * (1 << B.rank)
+    cs = C.elements()
+    for b in B.elements():
+        for c in cs:
+            counts[b ^ c] += 1
+    return {d for d, n in enumerate(counts) if n >= k}
+
+
 def oracle_unique_sums(A: ElementSet) -> set[int]:
     """Unordered pair enumeration, with (a, a) as the representation of 0."""
     reps: dict[int, set[frozenset]] = {}

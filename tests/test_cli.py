@@ -80,12 +80,21 @@ def test_stdout_is_pure_json():
     json.loads(out.getvalue())  # must parse as a single document
 
 
-def test_dset_and_sumset():
+def test_dset_and_sumset(monkeypatch):
     code, payload, _ = run_cli(["dset", "--set", set_arg(3, [0, 1, 2, 4])])
     assert payload["unique_sums"]["elements"] == [1, 2, 3, 4, 5, 6]
     code, payload, _ = run_cli(["sumset", "--set", set_arg(3, [1, 2]), "--counts"])
     assert payload["sumset"]["elements"] == [0, 3]
-    assert payload["ordered_counts"][0] == 2
+    assert payload["ordered_counts"] == [2, 0, 0, 2, 0, 0, 0, 0]
+
+    # Without --counts no count table is built.
+    def unused(A):
+        raise RuntimeError("count table built without --counts")
+
+    monkeypatch.setattr("f2sets.cli.rep_counts", unused)
+    code, payload, _ = run_cli(["sumset", "--set", set_arg(3, [1, 2])])
+    assert code == 0
+    assert payload == {"sumset": {"r": 3, "elements": [0, 3]}, "count": 2}
 
 
 def test_graph_payload():

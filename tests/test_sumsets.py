@@ -23,9 +23,10 @@ from f2sets import (
     two_a,
     unique_sums,
 )
+from f2sets.core import InternalError
 from f2sets.generators import sharpness_pair
 from f2sets.sumsets import (
-    _PY_PRODUCT_LIMIT,
+    _PY_PAIR_LIMIT,
     _SPARSE_PRODUCT_LIMIT,
     _cross_counts_dense,
     _cross_counts_sparse,
@@ -35,6 +36,7 @@ from f2sets.sumsets import (
 from conftest import (
     oracle_is_minimal_saturating,
     oracle_is_round,
+    oracle_mult_sumset,
     oracle_rep_counts,
     oracle_sumset,
     oracle_unique_sums,
@@ -76,7 +78,7 @@ def test_sumset_matches_oracle(rb, rc):
 
 
 def test_sumset_numpy_branch_matches_oracle():
-    # Operand sizes with _PY_PRODUCT_LIMIT < |B| * |C| <= _SPARSE_PRODUCT_LIMIT,
+    # Operand sizes with _PY_PAIR_LIMIT < |B| * |C| <= _SPARSE_PRODUCT_LIMIT,
     # which the small-rank property test above rarely reaches.
     rnd = random.Random(11)
     r = 10
@@ -92,9 +94,19 @@ def test_sumset_numpy_branch_matches_oracle():
         (els(12, rnd.sample(range(1 << 12), 1000)), els(12, rnd.sample(range(1 << 12), 900))),
     ]
     for B, C in cases:
-        assert _PY_PRODUCT_LIMIT < len(B) * len(C) <= _SPARSE_PRODUCT_LIMIT
+        assert _PY_PAIR_LIMIT < len(B) * len(C) <= _SPARSE_PRODUCT_LIMIT
         assert set(sumset(B, C).elements()) == oracle_sumset(B, C)
     assert sumset(coset, part) == H.members
+    # Either side of the Python pair loop's limit: B = C with 16 and 17 points
+    # (120 and 136 XORs), B != C with 128 and 130 pairs.
+    assert 128 <= _PY_PAIR_LIMIT < 130
+    for r in (6, 10):
+        for nb, nc in ((16, None), (17, None), (8, 16), (10, 13)):
+            B = els(r, rnd.sample(range(1 << r), nb))
+            C = B if nc is None else els(r, rnd.sample(range(1 << r), nc))
+            assert set(sumset(B, C).elements()) == oracle_sumset(B, C)
+            assert set(mult_sumset(B, C, 2).elements()) == oracle_mult_sumset(B, C, 2)
+            assert [int(x) for x in rep_counts(B).counts] == oracle_rep_counts(B)
 
 
 def test_kernels_agree_exhaustively():
@@ -104,6 +116,15 @@ def test_kernels_agree_exhaustively():
         B = ElementSet(r, rnd.getrandbits(1 << r))
         C = ElementSet(r, rnd.getrandbits(1 << r))
         assert np.array_equal(_cross_counts_dense(B, C), _cross_counts_sparse(B, C))
+
+
+def test_dense_kernel_past_its_rank_is_an_internal_error():
+    # The dispatch splits above rank 20, so reaching the guard is a bug, and
+    # the CLI must not report it as an input error (exit 2).
+    A = ElementSet.from_elements(21, [0, 5, 1 << 20])
+    with pytest.raises(InternalError) as caught:
+        _cross_counts_dense(A, A)
+    assert not isinstance(caught.value, ValueError)
 
 
 # -- representation counts
@@ -119,6 +140,11 @@ def test_rep_counts_examples():
     assert t.ordered(7) == 0
     assert t.unordered(3) == 1
     assert t.unordered(0) == 4
+    for r in range(1, 9):
+        for A in [ElementSet.empty(r)] + [els(r, [a]) for a in (0, 1, (1 << r) - 1)]:
+            t = rep_counts(A)
+            assert [int(x) for x in t.counts] == oracle_rep_counts(A)
+            assert t.size == len(A) and t.total() == len(A)
 
 
 @settings(max_examples=150, deadline=None)
