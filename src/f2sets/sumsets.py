@@ -8,21 +8,34 @@ Sum kernels, one per regime, all exact:
   ties with it at 100-130 pairs for B != C and at 55-90 XORs for B = C, and
   at 703 XORs (B = C, 38 points) takes 66-120 us against 13-23 us (ranks
   4-10; 2 vCPUs, Python 3.11, numpy 2.4).
-- numpy pairs (`_pair_xors`), up to `_SPARSE_PRODUCT_LIMIT` = 2^22 ordered
-  pairs (a 32 MB XOR array): `sumset` scatters the XORs into an indicator,
-  count tables bincount them. At rank 20 with 10^6 pairs the scatter takes
-  10 ms against 15 ms for reading the support of a bincount. The limit
-  ignores the rank: past about 2.5*10^5 pairs at rank >= 10 the dense kernel
-  is already faster.
-- Walsh-Hadamard dense (`_cross_counts_dense`), past that limit up to rank
-  `_DENSE_MAX_RANK` = 20: the full ordered table in O(r * 2^r), exact in
-  int64 because intermediate magnitudes are bounded by 2^(3r).
+- numpy pairs (`_pair_xors`), while |B|*|C| <= min(`_SPARSE_PAIRS_PER_POINT`
+  * 2^r, `_SPARSE_PRODUCT_LIMIT`): `_takes_pairs`, the one regime test of
+  `sumset` and `_cross_counts`. `sumset` scatters the XORs into an
+  indicator, count tables bincount them. The kernel costs about 3.5 ns a
+  pair, the dense table a fixed 20-40 us plus 12-50 ns a group element, so
+  the dense table wins from about 64 pairs per point at rank 6, 32-48 at
+  rank 7, 24 at rank 8, 12-16 at rank 9, 8-12 at rank 10 and under 8 from
+  rank 11 (sweep in BENCH_9.json; 2 vCPUs, numpy 2.4, OpenBLAS 0.3.31).
+  `_SPARSE_PAIRS_PER_POINT` = 16 is where ranks 9-10 cross. It costs up to
+  1.7x on 20-40 us calls at ranks 5-7, and keeps every table of a
+  classification run (at most 16 pairs per point) on this kernel.
+  `_SPARSE_PRODUCT_LIMIT` = 2^22 caps the XOR array at 32 MB.
+- Walsh-Hadamard dense (`_cross_counts_dense`), up to rank
+  `_DENSE_MAX_RANK` = 20: N = H(Hb * Hc) / 2^r for the 0/1 tables b, c.
+  `_walsh` applies H_r as a Kronecker product of Hadamard factors of rank
+  <= `_WALSH_FACTOR_RANK` = 5, one float64 BLAS matmul each: 11-14 us at
+  rank 10, 4-5 ms at rank 18 and 17-21 ms at rank 20, against 0.13-0.15,
+  21-28 and 112-120 ms for the int64 radix-2 butterflies it replaced. Up to
+  rank 12 factor ranks 4-7 differ by at most 1.5x; from rank 13 factors of
+  rank 6-7 take up to 3x longer than rank 5, and rank 4 is 1.2-1.5x slower
+  at ranks 5, 9 and 10 but faster at ranks 15 and 20. Exact by the bound
+  in `_cross_counts_dense`.
 - Split (`_cross_counts_split`), above rank 20: both operands split on the
   top coordinate and exact rank-(r-1) tables are added.
 
 Count tables (`rep_counts`, `mult_sumset` with k >= 2) take the last three
 through `_cross_counts`; `sumset` takes all four, reading the support of a
-count table past the numpy limit.
+count table outside the numpy regime.
 
 Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
@@ -44,6 +57,7 @@ saturating sets, the search profile and both trimmers all use this one rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -58,10 +72,13 @@ from .core import (
     period,
 )
 
-# Kernel cut-overs; the module docstring gives the measurement behind each.
+# Kernel cut-overs and the transform's factor rank; the module docstring
+# gives the measurement behind each.
 _PY_PAIR_LIMIT = 128
+_SPARSE_PAIRS_PER_POINT = 16
 _SPARSE_PRODUCT_LIMIT = 1 << 22
 _DENSE_MAX_RANK = 20
+_WALSH_FACTOR_RANK = 5
 
 
 @dataclass(frozen=True)
@@ -112,30 +129,53 @@ class RepCountTable:
         return int(self.counts.sum())
 
 
-def _walsh_int64(arr: np.ndarray) -> np.ndarray:
-    out = arr.astype(np.int64, copy=True)
-    h = 1
-    n = len(out)
-    while h < n:
-        view = out.reshape(-1, 2, h)
-        top = view[:, 0, :] + view[:, 1, :]
-        bot = view[:, 0, :] - view[:, 1, :]
-        view[:, 0, :] = top
-        view[:, 1, :] = bot
-        h *= 2
-    return out
+@lru_cache(maxsize=None)
+def _hadamard(a: int) -> np.ndarray:
+    """The 2^a x 2^a Sylvester matrix, entry (i, j) = (-1)^popcount(i & j), as float64."""
+    h = np.ones((1, 1))
+    for _ in range(a):
+        h = np.block([[h, h], [h, -h]])
+    h.setflags(write=False)
+    return h
+
+
+def _walsh(table: np.ndarray, r: int) -> np.ndarray:
+    """Walsh-Hadamard transform of a length-2^r table, as float64.
+
+    H_r is the Kronecker product of the Hadamard factors of ⌈r / f⌉ bit
+    groups of near-equal rank <= f = `_WALSH_FACTOR_RANK`. Each step
+    multiplies the leading axis by its factor and moves it last (X^T H), so
+    every factor is one BLAS matmul and the axes are back in order after the
+    last one."""
+    out = np.asarray(table, dtype=np.float64)
+    groups = -(-r // _WALSH_FACTOR_RANK)
+    for i in range(groups):
+        a = (r + i) // groups  # the group ranks sum to r
+        out = out.reshape(1 << a, -1).T @ _hadamard(a)
+    return out.reshape(-1)
 
 
 def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
+    """Ordered counts by the convolution theorem, N = H(Hb * Hc) / 2^r.
+
+    Every value float64 holds here is an integer, and integers below 2^53
+    add exactly in any order, so the order BLAS sums in does not matter.
+    The forward transforms are bounded by |B| and |C|, their product by
+    |B| |C|. Every partial sum of the inverse, across factors too, is a
+    signed sum of some of the products, so it is bounded by
+    sum_s |Hb(s) Hc(s)| <= 2^r sqrt(|B| |C|) <= 2^(2r) (Cauchy-Schwarz, and
+    Parseval: sum_s Hb(s)^2 = 2^r |B|). That is 2^40 at rank 20, and stays
+    below 2^53 up to rank 26; `_DENSE_MAX_RANK` = 20 holds one table to 2^20
+    entries (8 MB)."""
     r = B.rank
     if r > _DENSE_MAX_RANK:
-        raise InternalError(f"dense kernel called at rank {r}, exact only up to {_DENSE_MAX_RANK}")
-    fb = _walsh_int64(_bits_to_mask(B.bits, r))
+        raise InternalError(f"dense kernel called at rank {r}, above {_DENSE_MAX_RANK}")
+    fb = _walsh(_bits_to_mask(B.bits, r), r)
     if C.bits == B.bits:
         fb *= fb
     else:
-        fb *= _walsh_int64(_bits_to_mask(C.bits, r))
-    out = _walsh_int64(fb)
+        fb *= _walsh(_bits_to_mask(C.bits, r), r)
+    out = _walsh(fb, r).astype(np.int64)
     out >>= r  # exact: the inverse transform is divisible by 2^r
     return out
 
@@ -168,9 +208,14 @@ def _cross_counts_split(B: ElementSet, C: ElementSet) -> np.ndarray:
     return np.concatenate((lower, upper))
 
 
+def _takes_pairs(B: ElementSet, C: ElementSet) -> bool:
+    """Whether B x C goes to the numpy pairs kernel rather than a 2^r table."""
+    return len(B) * len(C) <= min(_SPARSE_PAIRS_PER_POINT << B.rank, _SPARSE_PRODUCT_LIMIT)
+
+
 def _cross_counts(B: ElementSet, C: ElementSet) -> np.ndarray:
     """Ordered counts of b + c over B x C: the one count dispatch."""
-    if len(B) * len(C) <= _SPARSE_PRODUCT_LIMIT:
+    if _takes_pairs(B, C):
         return _cross_counts_sparse(B, C)
     if B.rank <= _DENSE_MAX_RANK:
         return _cross_counts_dense(B, C)
@@ -203,7 +248,7 @@ def sumset(B: ElementSet, C: ElementSet) -> ElementSet:
     if (nb * (nb - 1) // 2 if same else nb * nc) <= _PY_PAIR_LIMIT:
         bs = B.elements()  # listed once: each iteration peels the 2^r-bit integer
         return ElementSet(r, _pair_sum_bits(bs, bs if same else C.elements(), same))
-    if nb * nc <= _SPARSE_PRODUCT_LIMIT:
+    if _takes_pairs(B, C):
         # indices_to_bits scatters into an indicator, so repeated XORs collapse there.
         return ElementSet(r, indices_to_bits(_pair_xors(B, C), r))
     return ElementSet(r, _mask_to_bits(_cross_counts(B, C) != 0))
@@ -415,7 +460,8 @@ def php_covered(B: ElementSet, C: ElementSet, kappa: int) -> PredicateReport:
     r = B.rank
     if len(B) + len(C) < (1 << r) + kappa:
         raise ValueError("php_covered needs |B| + |C| >= 2^r + kappa")
-    if mult_sumset(B, C, kappa).is_full():
+    covered = mult_sumset(B, C, kappa)
+    if covered.is_full():
         return PredicateReport("php-cover", True)
-    missing = mult_sumset(B, C, kappa).complement().min_element()
-    return PredicateReport("php-cover", False, witness={"element": missing})
+    return PredicateReport("php-cover", False,
+                           witness={"element": covered.complement().min_element()})

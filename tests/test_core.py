@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -220,18 +221,21 @@ def test_translate_bits_matches_elementwise():
 
 
 def test_iteration_matches_membership_on_both_paths():
-    # __iter__ peels bits for small sets and unpacks with numpy for large
-    # ones; both must list exactly the members, in ascending order.
-    from f2sets.core import _ITER_LOOP_MAX
+    # __iter__ and indices() peel bits for small sets and unpack with numpy
+    # for large ones, each at its own cut; both must list exactly the
+    # members, in ascending order.
+    from f2sets.core import _INDICES_LOOP_MAX, _ITER_LOOP_MAX
 
     rnd = random.Random(7)
     for r in (1, 3, 6, 9, 14):
         n = 1 << r
-        for size in {0, 1, min(n, _ITER_LOOP_MAX), min(n, _ITER_LOOP_MAX + 1), n // 2, n}:
+        cuts = (_ITER_LOOP_MAX, _ITER_LOOP_MAX + 1, _INDICES_LOOP_MAX, _INDICES_LOOP_MAX + 1)
+        for size in {0, 1, n // 2, n} | {min(n, c) for c in cuts}:
             members = sorted(rnd.sample(range(n), size))
             A = ElementSet.from_elements(r, members)
             assert list(A) == members
-            assert A.elements() == A.indices().tolist()
+            assert A.indices().dtype == np.int64
+            assert A.indices().tolist() == members
 
 
 def test_from_elements_matches_on_both_paths():

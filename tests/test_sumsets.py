@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -23,13 +24,15 @@ from f2sets import (
     two_a,
     unique_sums,
 )
-from f2sets.core import InternalError
+from f2sets.core import InternalError, indices_to_bits
 from f2sets.generators import sharpness_pair
 from f2sets.sumsets import (
     _PY_PAIR_LIMIT,
+    _SPARSE_PAIRS_PER_POINT,
     _SPARSE_PRODUCT_LIMIT,
     _cross_counts_dense,
     _cross_counts_sparse,
+    _takes_pairs,
     php_covered,
 )
 
@@ -78,8 +81,8 @@ def test_sumset_matches_oracle(rb, rc):
 
 
 def test_sumset_numpy_branch_matches_oracle():
-    # Operand sizes with _PY_PAIR_LIMIT < |B| * |C| <= _SPARSE_PRODUCT_LIMIT,
-    # which the small-rank property test above rarely reaches.
+    # Operand sizes past the Python pair loop that the dispatch sends to the
+    # numpy pairs kernel, which the small-rank property test above rarely reaches.
     rnd = random.Random(11)
     r = 10
     H = Subgroup.generated_by(r, [1 << i for i in range(6)])
@@ -91,10 +94,10 @@ def test_sumset_numpy_branch_matches_oracle():
         (coset, coset),
         (els(r, rnd.sample(range(1 << r), 50)), els(r, rnd.sample(range(1 << r), 60))),
         (els(r, rnd.sample(range(1 << r), 70)), els(r, rnd.sample(range(1 << r), 70))),
-        (els(12, rnd.sample(range(1 << 12), 1000)), els(12, rnd.sample(range(1 << 12), 900))),
+        (els(12, rnd.sample(range(1 << 12), 200)), els(12, rnd.sample(range(1 << 12), 300))),
     ]
     for B, C in cases:
-        assert _PY_PAIR_LIMIT < len(B) * len(C) <= _SPARSE_PRODUCT_LIMIT
+        assert len(B) * len(C) > _PY_PAIR_LIMIT and _takes_pairs(B, C)
         assert set(sumset(B, C).elements()) == oracle_sumset(B, C)
     assert sumset(coset, part) == H.members
     # Either side of the Python pair loop's limit: B = C with 16 and 17 points
@@ -107,6 +110,54 @@ def test_sumset_numpy_branch_matches_oracle():
             assert set(sumset(B, C).elements()) == oracle_sumset(B, C)
             assert set(mult_sumset(B, C, 2).elements()) == oracle_mult_sumset(B, C, 2)
             assert [int(x) for x in rep_counts(B).counts] == oracle_rep_counts(B)
+
+
+def test_pairs_and_dense_branches_meet_at_the_cut_over():
+    # The numpy pairs kernel serves |B| * |C| <= _SPARSE_PAIRS_PER_POINT * 2^r
+    # and the dense table anything larger; both sides of the cut must match
+    # the oracles, for B = C and for B != C.
+    rnd = random.Random(12)
+    for r in (6, 10, 14):
+        cut = _SPARSE_PAIRS_PER_POINT << r
+        assert cut <= _SPARSE_PRODUCT_LIMIT
+        n = math.isqrt(cut)
+        seen = set()
+        for nb, nc in ((n, n), (n + 1, n + 1), (n, n + 1)):
+            B = els(r, rnd.sample(range(1 << r), nb))
+            for C in (B, els(r, rnd.sample(range(1 << r), nc))):
+                seen.add(_takes_pairs(B, C))
+                assert _takes_pairs(B, C) == (len(B) * len(C) <= cut)
+                assert set(sumset(B, C).elements()) == oracle_sumset(B, C)
+                assert set(mult_sumset(B, C, 2).elements()) == oracle_mult_sumset(B, C, 2)
+            assert [int(x) for x in rep_counts(B).counts] == oracle_rep_counts(B)
+        assert seen == {True, False}
+
+
+def test_dense_kernel_exact_past_2_to_the_53():
+    # float64 holds integers exactly below 2^53. The crude bound on the
+    # inverse transform, 2^r |B| |C|, passes it at rank 18 for the full group
+    # (2^54) and at rank 20 for half density (about 2^58); the kernel must
+    # still be exact there.
+    for r in (17, 18):
+        assert np.all(_cross_counts_dense(ElementSet.full(r), ElementSet.full(r)) == 1 << r)
+    rng = np.random.default_rng(20)
+    r = 20
+    points = np.arange(1 << r)
+    member = rng.random(1 << r) < 0.5
+    A = ElementSet(r, indices_to_bits(np.flatnonzero(member), r))
+    counts = _cross_counts_dense(A, A)
+    assert counts.sum() == len(A) ** 2
+    assert counts[0] == len(A)
+    for d in rng.choice(1 << r, 16, replace=False).tolist():
+        assert counts[d] == np.count_nonzero(member & member[points ^ d])
+    # A coset of H and its complement: their transforms multiply to a
+    # negative value on the dual of H (bar 0). b + c = d needs c = b + d
+    # outside B, that is d outside H, so N(d) = |B| there and 0 on H.
+    r = 18
+    H = Subgroup.generated_by(r, rng.choice(1 << r, 10).tolist())
+    B = H.coset(int(rng.integers(1 << r)))
+    in_h = np.isin(np.arange(1 << r), H.members.indices())
+    assert np.array_equal(_cross_counts_dense(B, B.complement()), np.where(in_h, 0, len(B)))
 
 
 def test_kernels_agree_exhaustively():
