@@ -13,9 +13,9 @@ element of a canonical set leaves a canonical set, so the canonical sets form
 a tree and every equivalence class is visited exactly once. Profile prunes
 must be subset-closed with respect to the target family. Under a size cap,
 profiles whose accepted sets must cover the group drop children that too few
-points remain to complete. Under the linear action, a child that an
-automorphism of its parent moves below itself is rejected without a test;
-the affine test computes one translate per orbit of the set's automorphisms.
+points remain to complete. A child that an automorphism of its parent moves
+below itself is rejected without a test; the affine test computes one
+translate per orbit of the set's automorphisms.
 The proofs live in docs/search-pruning.md.
 """
 
@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     ElementSet,
     InternalError,
-    _echelon_insert,
     _full_mask,
     _swap_mask,
     group_order,
@@ -278,36 +277,105 @@ def _linear_canonical_bits(A: ElementSet) -> int:
     return engine.canonical_bits() | zero
 
 
-def _is_linear_canonical(A: ElementSet) -> tuple[bool, list[int] | None, list[dict[int, int]]]:
-    """Verdict, witness columns, and the automorphisms of A the test met."""
-    engine = _MinImage(A.rank, tuple(A.nonzero().elements()))
-    ok, cols = engine.is_canonical()
-    return ok, cols, engine.auts
+class _StabiliserOrbits:
+    """Orbits on the group of the automorphisms recorded for a canonical set P.
+
+    Each automorphism, known on the points of P, is linear on span(P); it is
+    extended to an invertible map of the group by the identity on a
+    complement of span(P), and so still fixes P setwise. If one such map
+    sends x to y < x, it sends P + {x} to P + {y}, which precedes P + {x}:
+    the child P + {x} is not canonical. Any subgroup of Aut(P) gives sound
+    rejections.
+
+    Orbits are explored only from the points asked about. A map is kept as
+    the images of echelon rows: row[k] has leading bit k and is a sum of
+    basis vectors (points of P, then unit vectors), so reducing x by the
+    rows and summing their images gives the image of x in r steps.
+    """
+
+    def __init__(self, r: int, bits: int, auts):
+        self.r = r
+        rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row, basis indices)
+        basis = []
+        for u in list(ElementSet(r, bits & ~1)) + [1 << i for i in range(r)]:
+            v, combo = u, 1 << len(basis)
+            while v and v.bit_length() - 1 in rows:
+                w, c = rows[v.bit_length() - 1]
+                v ^= w
+                combo ^= c
+            if v:
+                rows[v.bit_length() - 1] = (v, combo)
+                basis.append(u)
+        self.rows = [rows[k][0] for k in range(r)]
+        maps = {}
+        for g in auts:
+            img = [g.get(u, u) for u in basis]  # complement vectors lie outside P: fixed
+            m = []
+            for k in range(r):
+                w, combo = 0, rows[k][1]
+                while combo:
+                    low = combo & -combo
+                    w ^= img[low.bit_length() - 1]
+                    combo ^= low
+                m.append(w)
+            maps[tuple(m)] = None
+        self.maps = list(maps)
+        self._least: dict[int, int] = {}
+
+    def _image(self, m, x: int) -> int:
+        y = 0
+        while x:
+            k = x.bit_length() - 1
+            x ^= self.rows[k]
+            y ^= m[k]
+        return y
+
+    def least(self, x: int) -> int:
+        """The least point of the orbit of x."""
+        if x not in self._least:
+            orbit = {x}
+            frontier = [x]
+            while frontier:
+                y = frontier.pop()
+                for m in self.maps:
+                    z = self._image(m, y)
+                    if z not in orbit:
+                        orbit.add(z)
+                        frontier.append(z)
+            low = min(orbit)
+            for y in orbit:
+                self._least[y] = low
+        return self._least[x]
+
+    def witness(self, x: int) -> list[int]:
+        """Columns of a composed map sending x below itself."""
+        seen = {x: [1 << i for i in range(self.r)]}
+        frontier = [x]
+        while frontier:
+            y = frontier.pop()
+            for m in self.maps:
+                z = self._image(m, y)
+                if z not in seen:
+                    cols = [self._image(m, c) for c in seen[y]]
+                    if z < x:
+                        return cols
+                    seen[z] = cols
+                    frontier.append(z)
+        raise InternalError(f"{x} is the least point of its orbit")
 
 
-def _translate_representatives(A: ElementSet, auts) -> list[int]:
-    """One nonzero g of A per orbit of the group the automorphisms generate.
+def _translate_forms(A: ElementSet, auts):
+    """(g, linear canonical form of A + g) for the least nonzero g of A in each
+    orbit of the group the automorphisms generate, in ascending order of g.
 
     A linear h with h(A) = A sends A + g to A + h(g), so translates by points
     of one orbit share their linear canonical form. Any subgroup of Aut(A)
     is sound; missing automorphisms only leave more translates to compute.
     """
-    seen: set[int] = set()
-    reps = []
+    orbits = _StabiliserOrbits(A.rank, A.bits, auts)
     for g in A.nonzero():
-        if g in seen:
-            continue
-        reps.append(g)
-        seen.add(g)
-        frontier = [g]
-        while frontier:
-            y = frontier.pop()
-            for h in auts:
-                z = h[y]
-                if z not in seen:
-                    seen.add(z)
-                    frontier.append(z)
-    return reps
+        if orbits.least(g) == g:
+            yield g, _linear_canonical_bits(A.translate(g))
 
 
 def _affine_canonical_bits(A: ElementSet) -> int:
@@ -317,8 +385,7 @@ def _affine_canonical_bits(A: ElementSet) -> int:
     A0 = A.translate(A.min_element())
     engine = _MinImage(A.rank, tuple(A0.nonzero().elements()))
     best = engine.canonical_bits() | 1
-    for g in _translate_representatives(A0, engine.auts):
-        cand = _linear_canonical_bits(A0.translate(g))
+    for _, cand in _translate_forms(A0, engine.auts):
         if _word_less(cand, best):
             best = cand
     return best
@@ -344,29 +411,27 @@ def canonical_form(A: ElementSet, action: Action = "linear", *,
     raise ValueError(f"unknown action {action!r}")
 
 
-def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None]:
-    """Canonicity test with a verifiable rejection certificate."""
-    if action == "none":
-        return True, None
-    if action == "linear":
-        ok, cols, _ = _is_linear_canonical(A)
-        if ok:
-            return True, None
-        return False, {"kind": "linear", "cols": cols}
+def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None, list]:
+    """Canonicity test: the verdict, a verifiable rejection certificate, and
+    the automorphisms of A (linear maps fixing 0) that the test recorded;
+    a rejection returns none."""
+    if action == "none" or (action == "affine" and len(A) == 0):
+        return True, None, []
+    if action not in ("linear", "affine"):
+        raise ValueError(f"unknown action {action!r}")
+    if action == "affine" and 0 not in A:
+        return False, {"kind": "affine", "shift": A.min_element(), "cols": None}, []
+    engine = _MinImage(A.rank, tuple(A.nonzero().elements()))
+    ok, cols = engine.is_canonical()
+    if not ok:
+        cert = ({"kind": "linear", "cols": cols} if action == "linear"
+                else {"kind": "affine", "shift": 0, "cols": cols})
+        return False, cert, []
     if action == "affine":
-        if len(A) == 0:
-            return True, None
-        if 0 not in A:
-            return False, {"kind": "affine", "shift": A.min_element(), "cols": None}
-        ok, cols, auts = _is_linear_canonical(A)
-        if not ok:
-            return False, {"kind": "affine", "shift": 0, "cols": cols}
-        for g in _translate_representatives(A, auts):
-            cand = _linear_canonical_bits(A.translate(g))
+        for g, cand in _translate_forms(A, engine.auts):
             if _word_less(cand, A.bits):
-                return False, {"kind": "affine", "shift": g, "cols": None}
-        return True, None
-    raise ValueError(f"unknown action {action!r}")
+                return False, {"kind": "affine", "shift": g, "cols": None}, []
+    return True, None, engine.auts
 
 
 # -- search profiles (incremental per-node state; prunes are subset-closed)
@@ -512,13 +577,27 @@ _ZERO_ALLOWED = {"round", "any"}
 
 @dataclass
 class SearchBudget:
+    """Node and time limits of a run. A pool task under a node limit also
+    holds `shared`, the run's node count (a multiprocessing.Value): the limit
+    applies to that count, so a threaded run stops one node past it, as the
+    sequential run does; a tick that finds it already passed counts no node."""
+
     max_nodes: int | None = None
     max_seconds: float | None = None
     started: float = field(default_factory=time.monotonic)
     nodes: int = 0
     exceeded: bool = False
+    shared: Any = None
 
     def tick(self) -> bool:
+        if self.shared is not None:
+            with self.shared.get_lock():
+                if self.shared.value > self.max_nodes:
+                    self.exceeded = True
+                    return True
+                self.shared.value += 1
+                if self.shared.value > self.max_nodes:
+                    self.exceeded = True
         self.nodes += 1
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.exceeded = True
@@ -762,19 +841,13 @@ class _Enumerator:
                 if self.log:
                     self.log.record("cap", self.r, child_bits, {"room": room})
                 continue
-            if orbits is not None and orbits.least[x] < x:
+            if orbits is not None and orbits.least(x) < x:
                 if self.log:
                     self.log.record("canonical", self.r, child_bits,
                                     {"kind": "linear", "cols": orbits.witness(x),
                                      "rule": "orbit"})
                 continue
-            child = ElementSet(self.r, child_bits)
-            child_auts = ()
-            if self.action == "linear":
-                ok, cols, child_auts = _is_linear_canonical(child)
-                cert = {"kind": "linear", "cols": cols}
-            else:
-                ok, cert = _is_canonical(child, self.action)
+            ok, cert, child_auts = _is_canonical(ElementSet(self.r, child_bits), self.action)
             if not ok:
                 if self.log:
                     self.log.record("canonical", self.r, child_bits, cert)
@@ -782,91 +855,6 @@ class _Enumerator:
             self._visit(child_bits, state2, x, child_auts)
             if self.budget.exceeded:
                 return
-
-
-class _StabiliserOrbits:
-    """Orbits on the group of the automorphisms recorded for a canonical set P.
-
-    Each automorphism, known on the points of P, is linear on span(P); it is
-    extended to an invertible map of the group by the identity on a
-    complement of span(P), and so still fixes P setwise. If one such map
-    sends x to y < x, it sends P + {x} to P + {y}, which precedes P + {x}:
-    the child P + {x} is not canonical. Any subgroup of Aut(P) gives sound
-    rejections.
-    """
-
-    def __init__(self, r: int, bits: int, auts):
-        self.r = r
-        n = 1 << r
-        pivots: dict[int, int] = {}
-        basis = []
-        for u in list(ElementSet(r, bits & ~1)) + [1 << i for i in range(r)]:
-            res = _echelon_insert(pivots, u)
-            if res:
-                pivots[res.bit_length() - 1] = res
-                basis.append(u)
-        pre = [0]
-        for u in basis:
-            pre += [v ^ u for v in pre]
-        perms = {}
-        for g in auts:
-            img = [0]
-            for u in basis:
-                w = g.get(u, u)  # complement vectors lie outside P: fixed
-                img += [v ^ w for v in img]
-            perm = [0] * n
-            for v, w in zip(pre, img):
-                perm[v] = w
-            perms[tuple(perm)] = None
-        self.perms = list(perms)
-        self.least = least = [-1] * n
-        for s in range(n):
-            if least[s] < 0:
-                least[s] = s
-                frontier = [s]
-                while frontier:
-                    y = frontier.pop()
-                    for p in self.perms:
-                        z = p[y]
-                        if least[z] < 0:
-                            least[z] = s
-                            frontier.append(z)
-
-    def witness(self, x: int) -> list[int]:
-        """Columns of a composed map sending x below itself."""
-        seen = {x: list(range(1 << self.r))}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for p in self.perms:
-                z = p[y]
-                if z not in seen:
-                    comp = [p[v] for v in seen[y]]
-                    if z < x:
-                        return [comp[1 << i] for i in range(self.r)]
-                    seen[z] = comp
-                    frontier.append(z)
-        raise InternalError(f"{x} is the least point of its orbit")
-
-
-@dataclass
-class _SharedNodeBudget(SearchBudget):
-    """A pool task's budget under a node limit. The limit applies to a count
-    shared by the head and every task of the run, so the run stops one node
-    past it, as the sequential run does; a tick that finds it already passed
-    counts no node."""
-
-    shared: Any = None  # multiprocessing.Value: the run's node count
-
-    def tick(self) -> bool:
-        with self.shared.get_lock():
-            if self.shared.value > self.max_nodes:
-                self.exceeded = True
-                return True
-            self.shared.value += 1
-            if self.shared.value > self.max_nodes:
-                self.exceeded = True
-        return super().tick()
 
 
 _run_nodes = None  # in a pool worker under a node limit: the run's node count
@@ -883,11 +871,8 @@ def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool]:
     system-wide, so every task stops at the same deadline."""
     (r, predicate, action, size_min, size_max, node,
      max_nodes, max_seconds, started) = args
-    if _run_nodes is None:
-        budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds, started=started)
-    else:
-        budget = _SharedNodeBudget(max_nodes=max_nodes, max_seconds=max_seconds,
-                                   started=started, shared=_run_nodes)
+    budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds, started=started,
+                          shared=_run_nodes)
     walker = _Enumerator(r, predicate, action, size_min, size_max, budget, None)
     walker.expand(*node)
     return walker.hits, budget.nodes, budget.exceeded
@@ -913,57 +898,56 @@ def enumerate_classes(
     With threads > 1 the head of the tree is searched level by level until
     its frontier holds at least 2 * threads subtrees; those run in a process
     pool, and the merged report equals the sequential one entry for entry.
+    A budget may go on from an earlier run: its limits bound both runs, and
+    the report's `nodes` counts this run's nodes alone.
     """
     if predicate not in PROFILES:
         raise ValueError(f"unknown predicate {predicate!r}; options: {sorted(PROFILES)}")
+    if action == "affine" and predicate not in _ZERO_ALLOWED:
+        # Every non-empty affine canonical form holds 0, which such a set excludes.
+        raise ValueError(f"the affine action needs a predicate that admits 0 "
+                         f"({', '.join(sorted(_ZERO_ALLOWED))}), not {predicate!r}")
     budget = budget or SearchBudget()
     log = _AuditLog(audit_capacity, seed) if audit else None
     t0 = time.monotonic()
 
+    nodes_before = budget.nodes
+    walker = _Enumerator(r, predicate, action, size_min, size_max, budget, log)
     if threads <= 1:
-        walker = _Enumerator(r, predicate, action, size_min, size_max, budget, log)
         walker.run()
-        hits = walker.hits
-        nodes = budget.nodes
-        exceeded = budget.exceeded
     else:
-        head = _Enumerator(r, predicate, action, size_min, size_max, budget, log)
-        head.split(2 * threads)
-        hits = head.hits
-        nodes = budget.nodes
-        exceeded = budget.exceeded
-        if head.frontier and not exceeded:
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import Value
-            tasks = [
-                (r, predicate, action, size_min, size_max, node,
-                 budget.max_nodes, budget.max_seconds, budget.started)
-                for node in head.frontier
-            ]
-            # The node count is shared from the head's count on.
-            counter = Value("q", nodes) if budget.max_nodes is not None else None
-            with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
-                                     initargs=(counter,)) as pool:
-                for sub_hits, sub_nodes, sub_exceeded in pool.map(_subtree_worker, tasks):
-                    nodes += sub_nodes
-                    exceeded = exceeded or sub_exceeded
-                    for size, reps in sub_hits.items():
-                        hits.setdefault(size, []).extend(reps)
-            if budget.max_nodes is not None and nodes > budget.max_nodes:
-                exceeded = True
+        walker.split(2 * threads)
+    if walker.frontier and not budget.exceeded:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import Value
+        tasks = [
+            (r, predicate, action, size_min, size_max, node,
+             budget.max_nodes, budget.max_seconds, budget.started)
+            for node in walker.frontier
+        ]
+        # The node count is shared from the head's count on; a task that
+        # takes it past the limit reports itself exceeded.
+        counter = Value("q", budget.nodes) if budget.max_nodes is not None else None
+        with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
+                                 initargs=(counter,)) as pool:
+            for sub_hits, sub_nodes, sub_exceeded in pool.map(_subtree_worker, tasks):
+                budget.nodes += sub_nodes
+                budget.exceeded = budget.exceeded or sub_exceeded
+                for size, reps in sub_hits.items():
+                    walker.hits.setdefault(size, []).extend(reps)
 
     entries = [
         SpectrumEntry(size, len(reps),
                       tuple(ElementSet(r, b) for b in sorted(reps)))
-        for size, reps in sorted(hits.items())
+        for size, reps in sorted(walker.hits.items())
     ]
     report = SpectrumReport(
         rank=r,
         predicate=predicate,
         action=action,
         entries=entries,
-        complete=not exceeded,
-        nodes=nodes,
+        complete=not budget.exceeded,
+        nodes=budget.nodes - nodes_before,
         elapsed=time.monotonic() - t0,
     )
     if log:
@@ -1054,61 +1038,50 @@ def verify_classification(
     minimal saturating.
 
     At r <= 4 this is one exhaustive pass over the subset lattice that finds
-    both families (`_lattice_scan`); above, an isomorph-free DFS with the
-    no-removal-covers prune. The returned report carries the size
+    both families (`_lattice_scan`); above, isomorph-free DFS runs for the
+    minimal saturating sets and for the maximal sum-free sets the converse
+    builds from, under one budget. The returned report carries the size
     spectrum, the converse check, and any counterexample verbatim.
     """
     thr = threshold if isinstance(threshold, Fraction) else threshold_value(threshold, r)
     t0 = time.monotonic()
-    counterexamples: list[ElementSet] = []
-    spectrum: dict[int, int] = {}
     complete = True
-    nodes = 0
     audit_result = None
-
     if r <= 4:
         minimal_sets, max_sf = _lattice_scan(r)
         nodes = 1 << ((1 << r) - 1)
-        for A in minimal_sets:
-            spectrum[len(A)] = spectrum.get(len(A), 0) + 1
-            if len(A) > thr and not decompose_saturating(A):
-                counterexamples.append(A)
-        converse_ok = True
-        converse_count = 0
-        minimal_bits = {A.bits for A in minimal_sets}
-        for S in max_sf:
-            for s in S.with_zero():
-                built = S.with_zero().translate(s).nonzero()
-                converse_count += 1
-                if built.bits not in minimal_bits or not is_minimal_saturating(built):
-                    converse_ok = False
-                    counterexamples.append(built)
     else:
-        report = enumerate_classes(
-            r, "minimal-saturating", action="linear", budget=budget,
-            audit=audit, seed=seed, threads=threads,
-        )
-        complete = report.complete
+        # One budget bounds both enumerations; `nodes` counts the first alone.
+        budget = budget or SearchBudget()
+        report = enumerate_classes(r, "minimal-saturating", action="linear", budget=budget,
+                                   audit=audit, seed=seed, threads=threads)
+        sf_report = enumerate_classes(r, "maximal-sum-free", action="linear",
+                                      budget=budget, threads=threads)
+        minimal_sets = [A for e in report.entries for A in e.representatives]
+        max_sf = [S for e in sf_report.entries for S in e.representatives]
+        complete = report.complete and sf_report.complete
         nodes = report.nodes
         audit_result = report.audit
-        for entry in report.entries:
-            spectrum[entry.size] = entry.class_count
-            if entry.size > thr:
-                for A in entry.representatives:
-                    if not decompose_saturating(A):
-                        counterexamples.append(A)
-        sf_report = enumerate_classes(r, "maximal-sum-free", action="linear")
-        complete = complete and sf_report.complete
-        converse_ok = True
-        converse_count = 0
-        for entry in sf_report.entries:
-            for S in entry.representatives:
-                for s in S.with_zero():
-                    built = S.with_zero().translate(s).nonzero()
-                    converse_count += 1
-                    if not is_minimal_saturating(built):
-                        converse_ok = False
-                        counterexamples.append(built)
+
+    counterexamples: list[ElementSet] = []
+    spectrum: dict[int, int] = {}
+    for A in minimal_sets:
+        spectrum[len(A)] = spectrum.get(len(A), 0) + 1
+        if len(A) > thr and not decompose_saturating(A):
+            counterexamples.append(A)
+    # The lattice pass lists every minimal saturating set, so each built set
+    # must be among them; a DFS lists class representatives only.
+    listed = {A.bits for A in minimal_sets} if r <= 4 else None
+    converse_ok = True
+    converse_count = 0
+    for S in max_sf:
+        for s in S.with_zero():
+            built = S.with_zero().translate(s).nonzero()
+            converse_count += 1
+            if ((listed is not None and built.bits not in listed)
+                    or not is_minimal_saturating(built)):
+                converse_ok = False
+                counterexamples.append(built)
 
     return {
         "r": r,

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, InternalError, translate_bits
+from .core import ElementSet, InternalError, _peel_bits, translate_bits
 from .sumsets import PredicateReport, unique_sums
 
 
@@ -36,13 +36,7 @@ class UrGraph:
         return [row.bit_count() for row in self.adj]
 
     def neighbors(self, i: int) -> list[int]:
-        row = self.adj[i]
-        out = []
-        while row:
-            low = row & -row
-            out.append(low.bit_length() - 1)
-            row ^= low
-        return out
+        return _peel_bits(self.adj[i])
 
     def to_json(self) -> dict:
         return {

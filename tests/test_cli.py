@@ -1,11 +1,13 @@
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
-
+import f2sets
 from f2sets.cli import main
 from f2sets.generators import census_fixture_suite
 
@@ -165,6 +167,18 @@ def test_enumerate_budget_incomplete_exit_one():
     assert code == 1 and payload["complete"] is False
 
 
+def test_enumerate_affine_rejects_zero_free_predicates():
+    # Every non-empty affine canonical form holds 0, so a predicate that
+    # excludes 0 would report an empty, complete spectrum.
+    for predicate in ("minimal-saturating", "maximal-sum-free", "saturating", "sum-free"):
+        code, payload, err = run_cli(
+            ["enumerate", predicate, "--r", "4", "--action", "affine"]
+        )
+        assert code == 2 and payload is None and "affine" in err, predicate
+    code, payload, _ = run_cli(["enumerate", "round", "--r", "3", "--action", "affine"])
+    assert code == 0 and payload["entries"]
+
+
 def test_enumerate_tsv(tmp_path):
     tsv = tmp_path / "spec.tsv"
     code, _, _ = run_cli(
@@ -218,17 +232,21 @@ def test_canonical_cli():
 
 
 def test_cli_as_subprocess():
-    # end-to-end through a real process: exit code and JSON contract
+    # end-to-end through a real process: exit code and JSON contract. The
+    # process imports the package under test, wherever pytest found it.
+    src = str(Path(f2sets.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "f2sets.cli", "check", "sum-free",
          "--set", set_arg(2, [1, 2])],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
     proc = subprocess.run(
         [sys.executable, "-m", "f2sets.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()

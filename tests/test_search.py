@@ -9,6 +9,7 @@ from f2sets import (
     ElementSet,
     is_maximal_sum_free,
     is_minimal_saturating,
+    is_round,
     is_sum_free,
     sumset,
     unique_sums,
@@ -164,7 +165,7 @@ def _check_affine_verdicts(r, sets, minima):
     for bits, best in zip(sets, minima):
         A = ElementSet(r, bits)
         assert canonical_form(A, "affine").set.bits == best
-        ok, cert = _is_canonical(A, "affine")
+        ok, cert, _ = _is_canonical(A, "affine")
         assert ok == (bits == best)
         if not ok:
             assert _recheck_canonical_prune(A, cert)
@@ -184,13 +185,31 @@ def test_affine_verdicts_match_agl4_sampled(gl4):
     _check_affine_verdicts(4, sets + minima, minima + minima)
 
 
+@pytest.mark.parametrize("predicate", ["any", "round"])
+def test_affine_enumeration_matches_agl3_orbit_minima(gl3, predicate):
+    accept = (lambda A: True) if predicate == "any" else (lambda A: bool(is_round(A)))
+    sets = [A.bits for A in plain_scan(3, accept, include_zero=True)]
+    classes = {}
+    for bits in set(_affine_orbit_minima(3, gl3, sets)):
+        classes.setdefault(bits.bit_count(), set()).add(bits)
+    report = enumerate_classes(3, predicate, action="affine")
+    assert report.complete
+    assert {e.size: {s.bits for s in e.representatives} for e in report.entries} == classes
+
+
+def test_affine_enumeration_rejects_zero_free_predicates():
+    for predicate in ("minimal-saturating", "maximal-sum-free", "saturating", "sum-free"):
+        with pytest.raises(ValueError):
+            enumerate_classes(4, predicate, action="affine")
+
+
 def test_is_canonical_witness_is_verifiable():
     rnd = random.Random(33)
     seen_witness = 0
     for _ in range(200):
         bits = rnd.getrandbits(32) & ~1
         A = ElementSet(5, bits)
-        ok, cert = _is_canonical(A, "linear")
+        ok, cert, _ = _is_canonical(A, "linear")
         if not ok and cert["cols"]:
             img = linear_image(A, cert["cols"]).bits
             assert _word_less(img, bits)
@@ -420,23 +439,45 @@ def test_cap_recheck_counts_points_above_the_maximum():
             assert _recheck_cap_drop("minimal-saturating", rest, {"room": 0})
 
 
-def test_orbit_rule_rejects_carry_valid_certificates():
+def _check_orbit_rule_rejects(r, predicate, action):
     log = _AuditLog(10**6, 9)
-    walker = _Enumerator(5, "minimal-saturating", "linear", 0, None, SearchBudget(), log)
+    walker = _Enumerator(r, predicate, action, 0, None, SearchBudget(), log)
     walker.run()
     orbit = [e for e in log.samples
              if e["kind"] == "canonical" and e["extra"].get("rule") == "orbit"]
     canonical = [e for e in log.samples if e["kind"] == "canonical"]
     assert len(orbit) > len(canonical) // 2
     for e in orbit:
-        A = ElementSet(5, e["bits"])
+        A = ElementSet(r, e["bits"])
         assert _recheck_canonical_prune(A, e["extra"])
         # The map fixes the parent and moves the new point below itself.
         top = e["bits"].bit_length() - 1
         parent = e["bits"] ^ (1 << top)
         cols = e["extra"]["cols"]
-        assert linear_image(ElementSet(5, parent), cols).bits == parent
+        assert linear_image(ElementSet(r, parent), cols).bits == parent
         assert apply_map(cols, top) < top
+
+
+def test_orbit_rule_rejects_carry_valid_certificates():
+    _check_orbit_rule_rejects(5, "minimal-saturating", "linear")
+
+
+def test_orbit_rule_runs_under_the_affine_action():
+    # The recorded automorphisms are linear maps fixing the parent, so they
+    # lie in the affine group as well.
+    _check_orbit_rule_rejects(4, "any", "affine")
+
+
+def test_converse_enumeration_keeps_the_budget():
+    started = time.monotonic()
+    out = verify_classification(6, budget=SearchBudget(max_seconds=1))
+    assert time.monotonic() - started < 10
+    assert out["complete"] is False and out["verdict"] is False
+    # A node limit counts both runs; `nodes` counts the first (271 nodes,
+    # then 39 for the maximal sum-free sets).
+    out = verify_classification(5, budget=SearchBudget(max_nodes=300))
+    assert out["nodes"] == 271 and out["complete"] is False
+    assert verify_classification(5, budget=SearchBudget(max_nodes=310))["complete"]
 
 
 def test_r5_maximal_sum_free_sizes():
@@ -555,8 +596,6 @@ def test_find_example_returns_none_when_impossible():
 
 def test_minimal_saturating_found_sets_are_round_after_zero():
     # every minimal saturating set has a round variant: itself or with 0 added
-    from f2sets import is_round
-
     for r in (3, 4, 5):
         report = enumerate_classes(r, "minimal-saturating", action="linear")
         for e in report.entries:
