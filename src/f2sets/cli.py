@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .core import ElementSet
+from .core import ElementSet, validate_rank
 from .fuzz import run_fuzz
 from .search import (
     SearchBudget,
@@ -277,10 +277,10 @@ def cmd_verify(args) -> int:
         )
         ok = payload["verdict"]
     elif args.theorem == "factdt":
-        payload = verify_factdt(args.r or 5, budget=_budget(args))
+        payload = verify_factdt(5 if args.r is None else args.r, budget=_budget(args))
         ok = payload["verdict"]
     elif args.theorem == "second-largest":
-        payload = second_largest_check(args.r or 5, budget=_budget(args))
+        payload = second_largest_check(5 if args.r is None else args.r, budget=_budget(args))
         ok = payload["complete"]
     else:
         raise UsageError("verify takes one of: classification, factdt, second-largest")
@@ -301,7 +301,7 @@ def cmd_find_example(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    out = run_fuzz(args.lemma, r=args.r or 8, iters=args.iters, seed=args.seed)
+    out = run_fuzz(args.lemma, r=8 if args.r is None else args.r, iters=args.iters, seed=args.seed)
     code = 0 if out["ok"] else 1
     return _emit(out, f"fuzz {args.lemma}: {'ok' if out['ok'] else 'VIOLATIONS'}", code)
 
@@ -429,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits with 2 on usage errors and 0 on --version/--help
         return int(exc.code or 0)
     try:
+        if args.r is not None:
+            validate_rank(args.r)
         return args.func(args)
     except UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -173,10 +173,6 @@ class ElementSet:
             bits |= 1 << e
         return cls(rank, bits)
 
-    @classmethod
-    def singleton(cls, rank: int, e: int) -> "ElementSet":
-        return cls.from_elements(rank, (e,))
-
     # -- JSON set literal: {"r": int, "elements": [...]} or {"r": int, "bits_hex": "..."}
 
     @classmethod
@@ -330,6 +326,58 @@ def _reduced_basis(vectors: Iterable[int]) -> tuple[int, ...]:
     return tuple(pivots[lead] for lead in sorted(pivots, reverse=True))
 
 
+def _basis_and_inverse(vectors: Iterable[int], r: int) -> tuple[list[int], list[int]]:
+    """A basis of the rank-r group and the inverse of its change of coordinates.
+
+    basis is the independent vectors in input order, then the unit vectors
+    outside their span in ascending order. inverse[j] is the coordinate mask
+    of 1 << j in that basis: the columns of the map basis[i] -> 1 << i.
+    """
+    rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row, basis coordinates)
+    basis: list[int] = []
+    for u in [*vectors, *(1 << i for i in range(r))]:
+        v, combo = u, 1 << len(basis)
+        while v and v.bit_length() - 1 in rows:
+            w, c = rows[v.bit_length() - 1]
+            v ^= w
+            combo ^= c
+        if v:
+            rows[v.bit_length() - 1] = (v, combo)
+            basis.append(u)
+    inverse = []
+    for j in range(r):
+        x, combo = 1 << j, 0
+        while x:
+            w, c = rows[x.bit_length() - 1]
+            x ^= w
+            combo ^= c
+        inverse.append(combo)
+    return basis, inverse
+
+
+def apply_linear(cols: list[int], x: int) -> int:
+    """Image of x under the linear map whose column j is the image of 1 << j."""
+    out = 0
+    i = 0
+    while x:
+        if x & 1:
+            out ^= cols[i]
+        x >>= 1
+        i += 1
+    return out
+
+
+def linear_image(A: ElementSet, cols: list[int]) -> ElementSet:
+    n = 1 << A.rank
+    bits = 0
+    for x in A:
+        y = apply_linear(cols, x)
+        if not 0 <= y < n:
+            raise ValueError(f"image {y} out of range for rank {A.rank}")
+        bits |= 1 << y
+    return ElementSet(A.rank, bits)
+
+
 @dataclass(frozen=True)
 class Subgroup:
     """A subgroup given by its reduced echelon basis plus the membership bitset.
@@ -355,10 +403,6 @@ class Subgroup:
         for v in basis:
             bits |= translate_bits(bits, v, rank)
         return cls(rank, basis, ElementSet(rank, bits))
-
-    @classmethod
-    def trivial(cls, rank: int) -> "Subgroup":
-        return cls.generated_by(rank, ())
 
     @classmethod
     def whole_group(cls, rank: int) -> "Subgroup":

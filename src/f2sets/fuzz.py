@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import time
 
-from .core import ElementSet, InternalError, Subgroup
+from .core import ElementSet, InternalError, Subgroup, _full_mask
 from .generators import census_fixture_suite, round_set_suite, sharpness_pair
 from .rng import Xorshift64
 from .search import enumerate_classes, round_property_check
@@ -187,16 +187,11 @@ def _embedded_coset_family(r: int, kappa: int) -> list[ElementSet]:
     if max_complement < 0:
         return []
     report = enumerate_classes(inner, "any", action="affine", size_max=max_complement)
-    g = 1 << inner
     out = []
     for entry in report.entries:
         for small in entry.representatives:
-            inner_bits = small.bits
-            coset_bits = 0
-            for h in range(1 << inner):
-                if not (inner_bits >> h) & 1:
-                    coset_bits |= 1 << (g | h)
-            S = ElementSet(r, coset_bits)
+            # The complement of small in H, moved to the coset 2^inner + H.
+            S = ElementSet(r, (_full_mask(inner) ^ small.bits) << (1 << inner))
             if len(S) <= floor:
                 raise InternalError(f"coset family member of size {len(S)} <= {floor}")
             out.append(S)

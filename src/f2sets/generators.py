@@ -7,7 +7,14 @@ reproduces the exact corpus on any platform.
 
 from __future__ import annotations
 
-from .core import ElementSet, Subgroup, _echelon_insert, translate_bits
+from .core import (
+    ElementSet,
+    Subgroup,
+    _basis_and_inverse,
+    apply_linear,
+    linear_image,
+    translate_bits,
+)
 from .rng import Xorshift64
 from .sumsets import _removals_losing, _unique_nonzero, rep_counts
 from .structure import CensusError, coset_census
@@ -121,36 +128,8 @@ def random_invertible(rng: Xorshift64, r: int) -> list[int]:
     """A uniformly random invertible matrix as column images of the basis."""
     while True:
         cols = [1 + rng.randrange((1 << r) - 1) for _ in range(r)]
-        pivots: dict[int, int] = {}
-        for c in cols:
-            res = _echelon_insert(pivots, c)
-            if not res:
-                break
-            pivots[res.bit_length() - 1] = res
-        else:
+        if _basis_and_inverse(cols, r)[0] == cols:
             return cols
-
-
-def apply_linear(cols: list[int], x: int) -> int:
-    out = 0
-    i = 0
-    while x:
-        if x & 1:
-            out ^= cols[i]
-        x >>= 1
-        i += 1
-    return out
-
-
-def linear_image(A: ElementSet, cols: list[int]) -> ElementSet:
-    n = 1 << A.rank
-    bits = 0
-    for x in A:
-        y = apply_linear(cols, x)
-        if not 0 <= y < n:
-            raise ValueError(f"image {y} out of range for rank {A.rank}")
-        bits |= 1 << y
-    return ElementSet(A.rank, bits)
 
 
 # Round sets with two isolated edges whose census satisfies every per-coset

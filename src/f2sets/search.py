@@ -31,12 +31,16 @@ import numpy as np
 from .core import (
     ElementSet,
     InternalError,
+    _basis_and_inverse,
     _full_mask,
     _swap_mask,
+    apply_linear,
     group_order,
+    linear_image,
+    span,
     translate_bits,
 )
-from .generators import linear_image, random_sum_free
+from .generators import random_sum_free
 from .rng import Xorshift64
 from .sumsets import (
     _removals_losing,
@@ -93,7 +97,6 @@ class _MinImage:
 
     def __init__(self, r: int, elems: tuple[int, ...]):
         self.r = r
-        self.n = 1 << r
         self.elems = elems
         self.size = len(elems)
         self.setbits = sum(1 << x for x in elems)
@@ -243,26 +246,9 @@ class _MinImage:
 
     def _witness(self, plist) -> list[int]:
         """Column images of a full invertible map sending the set strictly below
-        itself; the partial slot assignment is completed arbitrarily."""
-        dom = {0: 0}
-        for i, p in enumerate(plist):
-            q = 1 << i
-            for s in list(dom):
-                dom[s ^ p] = dom[s] ^ q
-        img_used = set(dom.values())
-        next_q = 1
-        for cand in range(1, self.n):
-            if len(dom) == self.n:
-                break
-            if cand in dom:
-                continue
-            while next_q in img_used:
-                next_q += 1
-            q = next_q
-            for s in list(dom):
-                dom[s ^ cand] = dom[s] ^ q
-            img_used.update(dom.values())
-        return [dom[1 << i] for i in range(self.r)]
+        itself: plist[i] -> 1 << i, completed by the unit vectors outside
+        span(plist) in ascending order."""
+        return _basis_and_inverse(plist, self.r)[1]
 
 
 @dataclass(frozen=True)
@@ -285,50 +271,19 @@ class _StabiliserOrbits:
     complement of span(P), and so still fixes P setwise. If one such map
     sends x to y < x, it sends P + {x} to P + {y}, which precedes P + {x}:
     the child P + {x} is not canonical. Any subgroup of Aut(P) gives sound
-    rejections.
-
-    Orbits are explored only from the points asked about. A map is kept as
-    the images of echelon rows: row[k] has leading bit k and is a sum of
-    basis vectors (points of P, then unit vectors), so reducing x by the
-    rows and summing their images gives the image of x in r steps.
+    rejections. Maps are kept as column lists, and orbits are explored only
+    from the points asked about.
     """
 
     def __init__(self, r: int, bits: int, auts):
         self.r = r
-        rows: dict[int, tuple[int, int]] = {}  # leading bit -> (row, basis indices)
-        basis = []
-        for u in list(ElementSet(r, bits & ~1)) + [1 << i for i in range(r)]:
-            v, combo = u, 1 << len(basis)
-            while v and v.bit_length() - 1 in rows:
-                w, c = rows[v.bit_length() - 1]
-                v ^= w
-                combo ^= c
-            if v:
-                rows[v.bit_length() - 1] = (v, combo)
-                basis.append(u)
-        self.rows = [rows[k][0] for k in range(r)]
+        basis, inverse = _basis_and_inverse(ElementSet(r, bits & ~1), r)
         maps = {}
         for g in auts:
             img = [g.get(u, u) for u in basis]  # complement vectors lie outside P: fixed
-            m = []
-            for k in range(r):
-                w, combo = 0, rows[k][1]
-                while combo:
-                    low = combo & -combo
-                    w ^= img[low.bit_length() - 1]
-                    combo ^= low
-                m.append(w)
-            maps[tuple(m)] = None
+            maps[tuple(apply_linear(img, c) for c in inverse)] = None
         self.maps = list(maps)
         self._least: dict[int, int] = {}
-
-    def _image(self, m, x: int) -> int:
-        y = 0
-        while x:
-            k = x.bit_length() - 1
-            x ^= self.rows[k]
-            y ^= m[k]
-        return y
 
     def least(self, x: int) -> int:
         """The least point of the orbit of x."""
@@ -338,7 +293,7 @@ class _StabiliserOrbits:
             while frontier:
                 y = frontier.pop()
                 for m in self.maps:
-                    z = self._image(m, y)
+                    z = apply_linear(m, y)
                     if z not in orbit:
                         orbit.add(z)
                         frontier.append(z)
@@ -354,9 +309,9 @@ class _StabiliserOrbits:
         while frontier:
             y = frontier.pop()
             for m in self.maps:
-                z = self._image(m, y)
+                z = apply_linear(m, y)
                 if z not in seen:
-                    cols = [self._image(m, c) for c in seen[y]]
+                    cols = [apply_linear(m, c) for c in seen[y]]
                     if z < x:
                         return cols
                     seen[z] = cols
@@ -754,8 +709,7 @@ def _recheck_canonical_prune(A: ElementSet, extra) -> bool:
         if not _word_less(linear_image(A, cols).bits, A.bits):
             return False
         # The witness must be invertible: its columns span the group.
-        from .core import span as _span
-        return _span(ElementSet.from_elements(A.rank, cols)).dim == A.rank
+        return span(ElementSet.from_elements(A.rank, cols)).dim == A.rank
     if extra.get("kind") == "affine":
         shift = extra["shift"]
         cand = _affine_canonical_bits(A)
@@ -1020,7 +974,7 @@ def threshold_value(name: str, r: int) -> Fraction:
         return Fraction(1 << r, 3) + 2
     try:
         return Fraction(name)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ValueError(f"threshold must be 'paper', 'light', or a rational, got {name!r}")
 
 

@@ -207,6 +207,24 @@ def test_verify_threshold_expression():
     assert payload["threshold"] == "7/2"
 
 
+def test_verify_threshold_division_by_zero_exits_two():
+    code, payload, err = run_cli(
+        ["verify", "classification", "--r", "3", "--threshold", "1/0"]
+    )
+    assert code == 2 and payload is None
+    assert "threshold" in err
+
+
+def test_rank_is_checked_at_the_cli_boundary():
+    for argv in (["fuzz", "kneser", "--r", "0", "--iters", "5"],
+                 ["verify", "factdt", "--r", "0"],
+                 ["enumerate", "any", "--r", "-1"],
+                 ["enumerate", "any", "--r", "25"]):
+        code, payload, err = run_cli(argv)
+        assert code == 2 and payload is None, argv
+        assert "rank must be in [1, 24]" in err, argv
+
+
 def test_find_example_cli():
     code, payload, _ = run_cli([
         "find-example", "minimal-saturating", "--r", "5", "--size", "11", "--seed", "1",

@@ -285,3 +285,25 @@ def test_no_assert_statements_in_the_package():
                   if isinstance(node, ast.Assert)
                   or (isinstance(node, ast.Raise) and raises_assertion_error(node))]
     assert found == []
+
+
+def test_basis_and_inverse_matches_its_definition():
+    from f2sets.core import _basis_and_inverse, apply_linear
+
+    rnd = random.Random(11)
+    for _ in range(400):
+        r = rnd.randint(1, 10)
+        vectors = [rnd.randrange(1 << r) for _ in range(rnd.randint(0, r + 3))]
+        vectors += [0] + rnd.sample(vectors, min(2, len(vectors)))  # dependent entries
+        rnd.shuffle(vectors)
+        # Oracle: greedy over the inputs, then over the unit vectors in
+        # ascending order, against the span kept as a set.
+        expected, spanned = [], {0}
+        for v in vectors + [1 << i for i in range(r)]:
+            if v not in spanned:
+                expected.append(v)
+                spanned |= {s ^ v for s in spanned}
+        basis, inverse = _basis_and_inverse(vectors, r)
+        assert basis == expected and len(basis) == len(inverse) == r
+        for i, b in enumerate(basis):
+            assert apply_linear(inverse, b) == 1 << i

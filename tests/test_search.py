@@ -11,6 +11,7 @@ from f2sets import (
     is_minimal_saturating,
     is_round,
     is_sum_free,
+    span,
     sumset,
     unique_sums,
 )
@@ -20,6 +21,7 @@ from f2sets.search import (
     MinimalSaturatingProfile,
     SearchBudget,
     _AuditLog,
+    _MinImage,
     _Enumerator,
     _lattice_scan,
     _recheck_canonical_prune,
@@ -215,6 +217,55 @@ def test_is_canonical_witness_is_verifiable():
             assert _word_less(img, bits)
             seen_witness += 1
     assert seen_witness > 100
+
+
+def _witness_by_scan(plist, r):
+    """plist[i] -> 1 << i, completed by adjoining every integer outside the
+    span in ascending order to the next free unit image."""
+    image = {0: 0}
+
+    def adjoin(v):
+        q = len(image)  # the images so far fill [0, q), q a power of two
+        for s in list(image):
+            image[s ^ v] = image[s] ^ q
+
+    for p in plist:
+        adjoin(p)
+    for cand in range(1, 1 << r):
+        if cand not in image:
+            adjoin(cand)
+    return [image[1 << i] for i in range(r)]
+
+
+def test_witness_completion_matches_the_ascending_scan():
+    rnd = random.Random(5)
+    for _ in range(600):
+        r = rnd.randint(1, 10)
+        plist, spanned = [], {0}
+        for _ in range(rnd.randint(0, r)):
+            v = rnd.randrange(1, 1 << r)
+            if v not in spanned:
+                plist.append(v)
+                spanned |= {s ^ v for s in spanned}
+        assert _MinImage(r, (1,))._witness(tuple(plist)) == _witness_by_scan(plist, r)
+
+
+def test_rank20_rejection_witness_builds_no_table_over_the_group():
+    import tracemalloc
+
+    r = 20
+    A = els(r, [3, 5, 6 + (1 << 19)])
+    tracemalloc.start()
+    try:
+        ok, cert, _ = _is_canonical(A, "linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not ok
+    cols = cert["cols"]
+    assert _word_less(linear_image(A, cols).bits, A.bits)
+    assert span(cols, r).dim == r
+    assert peak < 4 << 20  # a table over the 2^20 points would take > 100 MB
 
 
 # -- orderly enumeration
