@@ -3,20 +3,23 @@ and a one-line human summary to stderr.
 
 Exit codes: 0 when the verdict is true or the operation succeeded, 1 when a
 check returned a false verdict (the witness is in the JSON), 2 for usage or
-input errors.
+input errors. Each command accepts only the flags it reads; a flag read only for
+some values of its positional argument is a usage error with any other value.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from . import __version__
 from .core import ElementSet, validate_rank
-from .fuzz import run_fuzz
 from .search import (
     SearchBudget,
     canonical_form,
@@ -29,7 +32,11 @@ from .search import (
 from .structure import (
     CensusError,
     classify_max_sumfree,
-    construct,
+    construct_cap_replacement,
+    construct_coset,
+    construct_punctured,
+    construct_shifted_cap,
+    construct_subgroup_union,
     coset_census,
     decompose_round,
     decompose_saturating,
@@ -51,7 +58,7 @@ from .sumsets import (
     sumset,
     unique_sums,
 )
-from . import urgraph
+from . import fuzz, urgraph
 
 CHECKS = {
     "sum-free": is_sum_free,
@@ -67,6 +74,28 @@ BINARY_CHECKS = {
     "kneser": kneser_check,
     "alldisjoint": alldisjoint_check,
     "s2": s2_bound_check,
+}
+
+# Constructions built from --r alone, and those built from a base set and --shift.
+RANK_CONSTRUCTIONS = {
+    "coset": construct_coset,
+    "punctured": construct_punctured,
+    "subgroup-union": construct_subgroup_union,
+}
+
+BASE_CONSTRUCTIONS = {
+    "shifted-cap": construct_shifted_cap,
+    "cap-replacement": construct_cap_replacement,
+}
+
+# Seeded harnesses, each called as harness(rank, iterations, seed).
+FUZZ_HARNESSES = {
+    "kneser": fuzz.fuzz_kneser,
+    "s2": fuzz.fuzz_s2,
+    "alldisjoint": fuzz.fuzz_alldisjoint,
+    "php": fuzz.fuzz_php,
+    "round-props": fuzz.fuzz_round_properties,
+    "census": fuzz.fuzz_census,
 }
 
 
@@ -100,24 +129,34 @@ class _VersionAction(argparse.Action):
         parser.exit()
 
 
-def _load_set(args, attr: str = "set", required: bool = True) -> ElementSet | None:
-    literal = getattr(args, attr.replace("-", "_"), None)
-    if literal is None and attr == "set" and getattr(args, "file", None):
-        literal = Path(args.file).read_text()
-    if literal is None and attr == "set" and getattr(args, "stdin", False):
-        literal = sys.stdin.read()
+def _load_set(args, second: bool = False) -> ElementSet:
+    """The set literal of --set (or --file, --stdin), or of --set2 if second."""
+    if second:
+        literal, flag = args.set2, "--set2"
+    else:
+        literal, flag = args.set, "--set"
+        if literal is None and args.file:
+            literal = Path(args.file).read_text()
+        if literal is None and args.stdin:
+            literal = sys.stdin.read()
     if literal is None:
-        if required:
-            raise UsageError(f"missing --{attr}")
-        return None
+        raise UsageError(f"missing {flag}")
     try:
         obj = json.loads(literal)
         A = ElementSet.from_json(obj)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad set literal for --{attr}: {exc}")
-    if getattr(args, "r", None) is not None and A.rank != args.r:
+        raise UsageError(f"bad set literal for {flag}: {exc}")
+    if args.r is not None and A.rank != args.r:
         raise UsageError(f"--r {args.r} conflicts with the set literal rank {A.rank}")
     return A
+
+
+def _reject_unread(args, readers, *dests: str) -> None:
+    """A usage error for each given flag that only `readers` read."""
+    for dest in dests:
+        value = getattr(args, dest)  # None, or False for --stdin, when not given
+        if value is not None and value is not False:
+            raise UsageError(f"--{dest} is read only by {args.command} {', '.join(readers)}")
 
 
 def _emit(payload: dict, summary: str, code: int) -> int:
@@ -127,28 +166,22 @@ def _emit(payload: dict, summary: str, code: int) -> int:
 
 
 def _budget(args) -> SearchBudget:
-    return SearchBudget(
-        max_nodes=getattr(args, "budget_nodes", None),
-        max_seconds=getattr(args, "budget_secs", None),
-    )
+    return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
 
 
 def cmd_check(args) -> int:
     name = args.predicate
+    if name not in BINARY_CHECKS:
+        _reject_unread(args, BINARY_CHECKS, "set2")
+    if name != "sfnotround":
+        _reject_unread(args, ["sfnotround"], "kappa")
+    A = _load_set(args)
     if name in BINARY_CHECKS:
-        B = _load_set(args)
-        C = _load_set(args, "set2")
-        report = BINARY_CHECKS[name](B, C)
+        report = BINARY_CHECKS[name](A, _load_set(args, second=True))
     elif name == "sfnotround":
-        S = _load_set(args)
-        report = sfnotround_check(S, args.kappa)
-    elif name in CHECKS:
-        report = CHECKS[name](_load_set(args))
+        report = sfnotround_check(A, 2 if args.kappa is None else args.kappa)
     else:
-        raise UsageError(
-            f"unknown predicate {name!r}; options: "
-            + ", ".join(sorted(list(CHECKS) + list(BINARY_CHECKS) + ["sfnotround"]))
-        )
+        report = CHECKS[name](A)
     code = 0 if report.verdict else 1
     return _emit(report.to_json(), f"{name}: {report.verdict}", code)
 
@@ -162,7 +195,7 @@ def cmd_dset(args) -> int:
 
 def cmd_sumset(args) -> int:
     B = _load_set(args)
-    C = _load_set(args, "set2", required=False) or B
+    C = B if args.set2 is None else _load_set(args, second=True)
     S = sumset(B, C)
     payload = {"sumset": S.to_json(), "count": len(S)}
     if args.counts and C.bits == B.bits:
@@ -214,26 +247,22 @@ def cmd_census(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    params: dict = {}
-    if args.kind in ("coset", "punctured", "subgroup-union"):
+    if args.kind in RANK_CONSTRUCTIONS:
+        _reject_unread(args, BASE_CONSTRUCTIONS, "set", "file", "stdin", "shift")
         if args.r is None:
             raise UsageError("--r is required for this construction")
-        params["r"] = args.r
-    if args.kind in ("shifted-cap", "cap-replacement"):
-        params["base"] = _load_set(args)
+        A = RANK_CONSTRUCTIONS[args.kind](args.r)
+    else:
+        base = _load_set(args)
         if args.shift is None:
             raise UsageError("--shift is required for this construction")
-        params["shift"] = args.shift
-    A = construct(args.kind, **params)
+        A = BASE_CONSTRUCTIONS[args.kind](base, args.shift)
     return _emit({"kind": args.kind, "set": A.to_json(), "size": len(A)},
                  f"built {args.kind}: {len(A)} elements", 0)
 
 
 def cmd_tangent(args) -> int:
-    B = _load_set(args)
-    if args.shift is None:
-        raise UsageError("--shift (the external point) is required")
-    T = tangent_construction(B, args.shift)
+    T = tangent_construction(_load_set(args), args.shift)
     return _emit({"set": T.to_json(), "size": len(T)}, f"tangent set: {len(T)}", 0)
 
 
@@ -244,21 +273,19 @@ def cmd_canonical(args) -> int:
                  "canonical form computed", 0)
 
 
-def cmd_enumerate(args, compact: bool = False) -> int:
-    if args.r is None:
-        raise UsageError("--r is required")
+def cmd_enumerate(args) -> int:
     report = enumerate_classes(
         args.r,
         args.predicate,
         action=args.action,
-        size_min=args.size_min or 0,
+        size_min=args.size_min,
         size_max=args.size_max,
         budget=_budget(args),
         audit=args.audit,
         seed=args.seed,
         threads=args.threads,
     )
-    payload = report.to_json(include_representatives=not compact)
+    payload = report.to_json(include_representatives=args.command == "enumerate")
     if args.tsv:
         Path(args.tsv).write_text(report.to_tsv())
     code = 0 if report.complete else 1
@@ -269,28 +296,22 @@ def cmd_enumerate(args, compact: bool = False) -> int:
 
 def cmd_verify(args) -> int:
     if args.theorem == "classification":
-        if args.r is None:
-            raise UsageError("--r is required")
         payload = verify_classification(
             args.r, args.threshold, budget=_budget(args), audit=args.audit,
             seed=args.seed, threads=args.threads,
         )
         ok = payload["verdict"]
     elif args.theorem == "factdt":
-        payload = verify_factdt(5 if args.r is None else args.r, budget=_budget(args))
+        payload = verify_factdt(args.r, budget=_budget(args))
         ok = payload["verdict"]
-    elif args.theorem == "second-largest":
-        payload = second_largest_check(5 if args.r is None else args.r, budget=_budget(args))
-        ok = payload["complete"]
     else:
-        raise UsageError("verify takes one of: classification, factdt, second-largest")
+        payload = second_largest_check(args.r, budget=_budget(args))
+        ok = payload["complete"]
     return _emit(payload, f"verify {args.theorem}: {'ok' if ok else 'FAILED'}",
                  0 if ok else 1)
 
 
 def cmd_find_example(args) -> int:
-    if args.r is None or args.size is None:
-        raise UsageError("--r and --size are required")
     found = find_example(args.r, args.predicate, args.size, seed=args.seed,
                          max_restarts=args.restarts)
     if found is None:
@@ -301,121 +322,133 @@ def cmd_find_example(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    out = run_fuzz(args.lemma, r=8 if args.r is None else args.r, iters=args.iters, seed=args.seed)
-    code = 0 if out["ok"] else 1
-    return _emit(out, f"fuzz {args.lemma}: {'ok' if out['ok'] else 'VIOLATIONS'}", code)
+    t0 = time.monotonic()
+    if args.lemma == "sfnotround":
+        _reject_unread(args, FUZZ_HARNESSES, "iters", "seed")
+        out = fuzz.fuzz_sfnotround((5, 6) if args.r is None else (args.r,))
+    else:
+        out = FUZZ_HARNESSES[args.lemma](8 if args.r is None else args.r,
+                                         1000 if args.iters is None else args.iters,
+                                         args.seed or 0)
+    out["elapsed_seconds"] = round(time.monotonic() - t0, 3)
+    out["ok"] = not out["violations"]
+    return _emit(out, f"fuzz {args.lemma}: {'ok' if out['ok'] else 'VIOLATIONS'}",
+                 0 if out["ok"] else 1)
 
 
-def cmd_spectrum(args) -> int:
-    return cmd_enumerate(args, compact=True)
-
-
-def _add_common(p: argparse.ArgumentParser, *, with_set: bool = False,
-                with_search: bool = False) -> None:
+def _add_set(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, help="group rank")
-    p.add_argument("--seed", type=int, default=0, help="generator seed")
-    if with_set:
-        p.add_argument("--set", help="set literal JSON")
-        p.add_argument("--set2", help="second set literal JSON")
-        p.add_argument("--file", help="read the set literal from a file")
-        p.add_argument("--stdin", action="store_true", help="read the set literal from stdin")
-    if with_search:
-        p.add_argument("--action", choices=["linear", "affine", "none"], default="linear")
-        p.add_argument("--size-min", type=int, default=0)
-        p.add_argument("--size-max", type=int)
+    p.add_argument("--set", help="set literal JSON")
+    p.add_argument("--file", help="read the set literal from a file")
+    p.add_argument("--stdin", action="store_true", help="read the set literal from stdin")
+
+
+def _add_budget(p: argparse.ArgumentParser, *, search: bool = False) -> None:
+    """The shared search budget; with search, also the audit, its seed and the threads."""
+    if search:
+        p.add_argument("--seed", type=int, default=0, help="audit sampling seed")
         p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--budget-nodes", type=int)
-        p.add_argument("--budget-secs", type=float)
         p.add_argument("--audit", action="store_true",
                        help="re-check a sample of pruned nodes with plain oracles")
-        p.add_argument("--tsv", help="also write a size/count/representative TSV file")
+    p.add_argument("--budget-nodes", type=int)
+    p.add_argument("--budget-secs", type=float)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # argparse makes a help formatter, which looks up the terminal width, for
+    # every argument it adds; the width is looked up once per build instead.
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
+    parser = parser_class(
         prog="f2sets",
         description="Subsets of the rank-r group of XOR: predicates, structure, search.",
     )
     parser.add_argument("--version", action=_VersionAction)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p = sub.add_parser("check", help="evaluate a predicate on a set")
-    p.add_argument("predicate")
-    p.add_argument("--kappa", type=int, default=2)
-    _add_common(p, with_set=True)
+    p.add_argument("predicate", choices=[*CHECKS, *BINARY_CHECKS, "sfnotround"])
+    _add_set(p)
+    p.add_argument("--set2", help="second set literal JSON (kneser, alldisjoint, s2)")
+    p.add_argument("--kappa", type=int, help="sfnotround only; default 2")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("dset", help="unique sums of a set")
-    _add_common(p, with_set=True)
-    p.set_defaults(func=cmd_dset)
+    for name, func, help_ in (
+        ("dset", cmd_dset, "unique sums of a set"),
+        ("graph", cmd_graph, "unique-representation graph of a set"),
+        ("classify-sumfree", cmd_classify_sumfree, "shape of a maximal sum-free set"),
+        ("census", cmd_census, "coset census of a round set with two isolated edges"),
+    ):
+        p = sub.add_parser(name, help=help_)
+        _add_set(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("sumset", help="sumset of one or two sets")
+    _add_set(p)
+    p.add_argument("--set2", help="second set literal JSON")
     p.add_argument("--counts", action="store_true", help="include the ordered count table")
-    _add_common(p, with_set=True)
     p.set_defaults(func=cmd_sumset)
 
-    p = sub.add_parser("graph", help="unique-representation graph of a set")
-    _add_common(p, with_set=True)
-    p.set_defaults(func=cmd_graph)
-
     p = sub.add_parser("decompose", help="shifted-cap or round decompositions")
+    _add_set(p)
     p.add_argument("--form", choices=["saturating", "round"], default="saturating")
-    _add_common(p, with_set=True)
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("classify-sumfree", help="shape of a maximal sum-free set")
-    _add_common(p, with_set=True)
-    p.set_defaults(func=cmd_classify_sumfree)
-
-    p = sub.add_parser("census", help="coset census of a round set with two isolated edges")
-    _add_common(p, with_set=True)
-    p.set_defaults(func=cmd_census)
-
     p = sub.add_parser("construct", help="build one of the named set families")
-    p.add_argument("kind", choices=["coset", "punctured", "shifted-cap",
-                                    "cap-replacement", "subgroup-union"])
-    p.add_argument("--shift", type=int)
-    _add_common(p, with_set=True)
+    p.add_argument("kind", choices=[*RANK_CONSTRUCTIONS, *BASE_CONSTRUCTIONS])
+    _add_set(p)
+    p.add_argument("--shift", type=int, help="shifted-cap and cap-replacement only")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("tangent", help="tangent-line construction from a blocking set")
-    p.add_argument("--shift", type=int, help="the external point")
-    _add_common(p, with_set=True)
+    _add_set(p)
+    p.add_argument("--shift", type=int, required=True, help="the external point")
     p.set_defaults(func=cmd_tangent)
 
     p = sub.add_parser("canonical", help="canonical form under a symmetry action")
+    _add_set(p)
     p.add_argument("--action", choices=["linear", "affine", "none"], default="linear")
-    _add_common(p, with_set=True)
     p.set_defaults(func=cmd_canonical)
 
-    p = sub.add_parser("enumerate", help="isomorph-free enumeration with representatives")
-    p.add_argument("predicate")
-    _add_common(p, with_search=True)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser("spectrum", help="size spectrum (no representatives in the JSON)")
-    p.add_argument("predicate")
-    _add_common(p, with_search=True)
-    p.set_defaults(func=cmd_spectrum)
+    for name, help_ in (("enumerate", "isomorph-free enumeration with representatives"),
+                        ("spectrum", "size spectrum (no representatives in the JSON)")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("predicate")
+        p.add_argument("--r", type=int, required=True, help="group rank")
+        p.add_argument("--action", choices=["linear", "affine", "none"], default="linear")
+        p.add_argument("--size-min", type=int, default=0)
+        p.add_argument("--size-max", type=int)
+        _add_budget(p, search=True)
+        p.add_argument("--tsv", help="also write a size/count/representative TSV file")
+        p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("verify", help="run a theorem verifier")
-    p.add_argument("theorem", choices=["classification", "factdt", "second-largest"])
+    p.set_defaults(func=cmd_verify)
+    theorems = p.add_subparsers(dest="theorem", required=True, parser_class=parser_class)
+    p = theorems.add_parser("classification")
+    p.add_argument("--r", type=int, required=True, help="group rank")
     p.add_argument("--threshold", default="paper",
                    help="paper, light, or an exact rational like 25/2")
-    _add_common(p, with_search=True)
-    p.set_defaults(func=cmd_verify)
+    _add_budget(p, search=True)
+    for name in ("factdt", "second-largest"):
+        p = theorems.add_parser(name)
+        p.add_argument("--r", type=int, default=5, help="group rank")
+        _add_budget(p)
 
     p = sub.add_parser("find-example", help="randomized search for an example of a given size")
     p.add_argument("predicate")
-    p.add_argument("--size", type=int)
+    p.add_argument("--r", type=int, required=True, help="group rank")
+    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--restarts", type=int, default=20000)
-    _add_common(p)
     p.set_defaults(func=cmd_find_example)
 
     p = sub.add_parser("fuzz", help="run a seeded fuzz harness")
-    p.add_argument("lemma")
-    p.add_argument("--iters", type=int, default=1000)
-    _add_common(p)
+    p.add_argument("lemma", choices=[*FUZZ_HARNESSES, "sfnotround"])
+    p.add_argument("--r", type=int, help="group rank (sfnotround: the one rank to check)")
+    p.add_argument("--iters", type=int, help="default 1000; not for sfnotround")
+    p.add_argument("--seed", type=int, help="generator seed; not for sfnotround")
     p.set_defaults(func=cmd_fuzz)
 
     return parser

@@ -466,9 +466,10 @@ def period(B: ElementSet) -> Subgroup:
 class QuotientView:
     """Coset labelling for a subgroup H: project onto the rank (r - dim H) quotient.
 
-    Every element reduces to a unique coset representative whose pivot
-    coordinates vanish; the representative's free coordinates, packed in
-    ascending order, form the quotient label.
+    Coordinates are taken in `_basis_and_inverse(H.basis, r)`: H's basis, then
+    the unit vectors at H's free (non-pivot) bits. The label of x is its
+    coordinates past H's; its coset representative is that combination of
+    the trailing unit vectors, the element of x + H whose pivot bits vanish.
     """
 
     subgroup: Subgroup
@@ -482,33 +483,21 @@ class QuotientView:
         return self.rank - self.subgroup.dim
 
     @cached_property
-    def _free_bits(self) -> tuple[int, ...]:
-        pivot = {v.bit_length() - 1 for v in self.subgroup.basis}
-        return tuple(i for i in range(self.rank) if i not in pivot)
+    def _coordinates(self) -> tuple[list[int], list[int]]:
+        basis, inverse = _basis_and_inverse(self.subgroup.basis, self.rank)
+        return basis[self.subgroup.dim:], inverse
 
     def reduce(self, x: int) -> int:
         """Canonical representative of x + H (pivot coordinates cleared)."""
-        for v in self.subgroup.basis:
-            if (x >> (v.bit_length() - 1)) & 1:
-                x ^= v
-        return x
+        return apply_linear(self._coordinates[0], self.project(x))
 
     def project(self, x: int) -> int:
-        rep = self.reduce(x)
-        label = 0
-        for j, i in enumerate(self._free_bits):
-            label |= ((rep >> i) & 1) << j
-        return label
-
-    def lift(self, label: int) -> int:
-        rep = 0
-        for j, i in enumerate(self._free_bits):
-            rep |= ((label >> j) & 1) << i
-        return rep
+        return apply_linear(self._coordinates[1], x) >> self.subgroup.dim
 
     @cached_property
     def transversal(self) -> tuple[int, ...]:
-        return tuple(self.lift(label) for label in range(1 << self.image_rank))
+        free = self._coordinates[0]
+        return tuple(apply_linear(free, label) for label in range(1 << self.image_rank))
 
     def project_set(self, B: ElementSet) -> ElementSet:
         if B.rank != self.rank:

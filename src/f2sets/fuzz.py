@@ -7,8 +7,6 @@ offending input is reported verbatim).
 
 from __future__ import annotations
 
-import time
-
 from .core import ElementSet, InternalError, Subgroup, _full_mask
 from .generators import census_fixture_suite, round_set_suite, sharpness_pair
 from .rng import Xorshift64
@@ -217,12 +215,18 @@ def _five_point_family(r: int, kappa: int) -> list[ElementSet]:
 
 
 def qualifying_sum_free_sets(r: int, kappa: int) -> list[ElementSet]:
-    """One representative per class of sum-free sets with |S| > 2^(r-2) + kappa.
+    """Sum-free sets with |S| > 2^(r-2) + kappa, at least one per linear class.
 
-    Rank 5 is enumerated directly (isomorph-free DFS over sum-free sets); rank
-    6 uses the two large-cap families, whose completeness rests on the
-    classical structure of complete caps above 9 * 2^(r-5).
+    Ranks 2 to 5 are enumerated directly (isomorph-free DFS over sum-free
+    sets), one representative per class. Rank 6 lists the two large-cap
+    families, whose completeness rests on the classical structure of complete
+    caps above 9 * 2^(r-5): the coset family, one set per class, then the
+    20-point five-point set and each of its one-point deletions that clears
+    the floor. The 20 deletions are one class, so at kappa = 2 the 133 sets
+    fall into 114 classes; at kappa = 3 no deletion clears the floor.
     """
+    if not 2 <= r <= 6:
+        raise ValueError(f"qualifying sets are generated at ranks 2 to 6 only, not {r}")
     floor = (1 << (r - 2)) + kappa
     if r <= 5:
         report = enumerate_classes(r, "sum-free", action="linear", size_min=floor + 1)
@@ -230,20 +234,21 @@ def qualifying_sum_free_sets(r: int, kappa: int) -> list[ElementSet]:
         for entry in report.entries:
             out.extend(entry.representatives)
         return out
-    if r == 6:
-        return _embedded_coset_family(r, kappa) + _five_point_family(r, kappa)
-    raise ValueError("qualifying sets are generated at ranks 5 and 6 only")
+    return _embedded_coset_family(r, kappa) + _five_point_family(r, kappa)
 
 
-def fuzz_sfnotround(ranks=(5, 6), kappas=(2, 3)) -> dict:
+# A larger kappa only raises the size floor, so its family is the smallest
+# kappa's family filtered by size, in the same order.
+SFNOTROUND_KAPPAS = (2, 3)
+
+
+def fuzz_sfnotround(ranks=(5, 6)) -> dict:
     checked = 0
     violations = []
     per_rank = {}
     for r in ranks:
-        # A larger kappa only raises the size floor, so its family is the
-        # smallest kappa's family filtered by size, in the same order.
-        family = qualifying_sum_free_sets(r, min(kappas))
-        for kappa in kappas:
+        family = qualifying_sum_free_sets(r, SFNOTROUND_KAPPAS[0])
+        for kappa in SFNOTROUND_KAPPAS:
             floor = (1 << (r - 2)) + kappa
             sets = [S for S in family if len(S) > floor]
             per_rank[f"r{r}_kappa{kappa}"] = len(sets)
@@ -296,29 +301,3 @@ def fuzz_census(r: int, count: int, seed: int) -> dict:
         "sets": len(fixtures),
         "violations": violations,
     }
-
-
-def run_fuzz(lemma: str, *, r: int, iters: int, seed: int) -> dict:
-    t0 = time.monotonic()
-    if lemma == "kneser":
-        out = fuzz_kneser(r, iters, seed)
-    elif lemma == "s2":
-        out = fuzz_s2(r, iters, seed)
-    elif lemma == "alldisjoint":
-        out = fuzz_alldisjoint(r, iters, seed)
-    elif lemma == "php":
-        out = fuzz_php(r, iters, seed)
-    elif lemma == "sfnotround":
-        out = fuzz_sfnotround()
-    elif lemma == "round-props":
-        out = fuzz_round_properties(r, iters, seed)
-    elif lemma == "census":
-        out = fuzz_census(r, iters, seed)
-    else:
-        raise ValueError(
-            f"unknown lemma {lemma!r}; options: kneser, s2, alldisjoint, php, "
-            f"sfnotround, round-props, census"
-        )
-    out["elapsed_seconds"] = round(time.monotonic() - t0, 3)
-    out["ok"] = not out["violations"]
-    return out

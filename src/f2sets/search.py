@@ -618,6 +618,9 @@ class SpectrumReport:
         return "\n".join(lines) + "\n"
 
 
+AUDIT_CAPACITY = 1000  # pruned nodes an audit keeps for the re-check
+
+
 class _AuditLog:
     """Reservoir sample of pruned nodes, re-checkable by independent oracles."""
 
@@ -841,7 +844,6 @@ def enumerate_classes(
     size_max: int | None = None,
     budget: SearchBudget | None = None,
     audit: bool = False,
-    audit_capacity: int = 1000,
     seed: int = 0,
     threads: int = 1,
 ) -> SpectrumReport:
@@ -862,7 +864,7 @@ def enumerate_classes(
         raise ValueError(f"the affine action needs a predicate that admits 0 "
                          f"({', '.join(sorted(_ZERO_ALLOWED))}), not {predicate!r}")
     budget = budget or SearchBudget()
-    log = _AuditLog(audit_capacity, seed) if audit else None
+    log = _AuditLog(AUDIT_CAPACITY, seed) if audit else None
     t0 = time.monotonic()
 
     nodes_before = budget.nodes

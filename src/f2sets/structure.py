@@ -205,23 +205,6 @@ def construct_subgroup_union(r: int, first: Subgroup | None = None, second: Subg
     return first.members.union(second.members).nonzero()
 
 
-_CONSTRUCTORS = {
-    "coset": construct_coset,
-    "punctured": construct_punctured,
-    "shifted-cap": construct_shifted_cap,
-    "cap-replacement": construct_cap_replacement,
-    "subgroup-union": construct_subgroup_union,
-}
-
-
-def construct(kind: str, **params) -> ElementSet:
-    try:
-        builder = _CONSTRUCTORS[kind]
-    except KeyError:
-        raise ValueError(f"unknown construction {kind!r}; options: {sorted(_CONSTRUCTORS)}")
-    return builder(**params)
-
-
 # -- blocking sets (points are nonzero; a line is a triple {x, y, x+y})
 
 

@@ -88,6 +88,8 @@ def test_dset_and_sumset(monkeypatch):
     code, payload, _ = run_cli(["sumset", "--set", set_arg(3, [1, 2]), "--counts"])
     assert payload["sumset"]["elements"] == [0, 3]
     assert payload["ordered_counts"] == [2, 0, 0, 2, 0, 0, 0, 0]
+    code, payload, _ = run_cli(["sumset", "--set", set_arg(3, [1, 2]), "--set2", set_arg(3, [])])
+    assert code == 0 and payload == {"sumset": {"r": 3, "elements": []}, "count": 0}
 
     # Without --counts no count table is built.
     def unused(A):
@@ -242,6 +244,46 @@ def test_fuzz_cli():
     assert code == 0 and payload["ok"]
     code, payload, _ = run_cli(["fuzz", "unknown-lemma"])
     assert code == 2
+    # sfnotround checks ranks 5 and 6, or the one rank --r names.
+    code, payload, _ = run_cli(["fuzz", "sfnotround", "--r", "5"])
+    assert code == 0 and payload["ok"]
+    assert payload["family_sizes"] == {"r5_kappa2": 8, "r5_kappa3": 6}
+    assert payload["checked_sets"] == 8 + 6
+
+
+def test_flags_a_command_does_not_read_exit_two(tmp_path):
+    S = set_arg(3, [1, 2, 4])
+    tsv = tmp_path / "spec.tsv"
+    classification = ["verify", "classification", "--r", "3", "--tsv", str(tsv)]
+    for argv in (
+        ["dset", "--set", S, "--seed", "1"],
+        ["graph", "--set", S, "--set2", S],
+        classification,
+        [*classification, "--size-max", "3"],
+        [*classification, "--size-max", "3", "--action", "affine"],
+        ["verify", "factdt", "--r", "4", "--audit"],
+        ["verify", "factdt", "--r", "4", "--audit", "--threads", "2"],
+        ["verify", "second-largest", "--r", "4", "--threshold", "paper"],
+        ["check", "round", "--set", S, "--set2", S],
+        ["check", "round", "--set", S, "--set2", S, "--kappa", "3"],
+        ["check", "kneser", "--set", S, "--set2", S, "--kappa", "2"],
+        ["construct", "coset", "--r", "4", "--shift", "3"],
+        ["construct", "punctured", "--r", "4", "--stdin"],
+        ["construct", "mystery", "--r", "4"],
+        ["fuzz", "sfnotround", "--iters", "5"],
+        ["fuzz", "sfnotround", "--seed", "0"],
+        ["fuzz", "sfnotround", "--r", "9"],
+    ):
+        code, payload, err = run_cli(argv)
+        assert code == 2 and payload is None, argv
+    assert not tsv.exists()
+    # A flag read for some values of the positional argument names those values.
+    _, _, err = run_cli(["check", "round", "--set", S, "--set2", S])
+    assert "--set2 is read only by check kneser, alldisjoint, s2" in err
+    _, _, err = run_cli(["construct", "coset", "--r", "4", "--shift", "0"])
+    assert "--shift is read only by construct shifted-cap, cap-replacement" in err
+    _, _, err = run_cli(["fuzz", "sfnotround", "--iters", "5"])
+    assert "--iters is read only by fuzz kneser" in err
 
 
 def test_canonical_cli():

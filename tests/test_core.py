@@ -191,6 +191,28 @@ def test_quotient_class_counts_sum(rb):
     assert set(per_class) == set(view.project_set(A).elements())
 
 
+def test_quotient_view_matches_pivot_clearing():
+    # The coset representative clears H's pivot bits (H's basis is reduced
+    # echelon); its free bits, packed in ascending order, are the label.
+    rng = random.Random(11)
+    for r in range(1, 9):
+        for _ in range(12):
+            H = Subgroup.generated_by(r, [rng.randrange(1, 1 << r) for _ in range(rng.randrange(r + 1))])
+            pivots = {v.bit_length() - 1 for v in H.basis}
+            free = [i for i in range(r) if i not in pivots]
+            view = QuotientView(H)
+            assert len(view.transversal) == 1 << len(free) == 1 << view.image_rank
+            for x in range(1 << r):
+                rep = x
+                for v in H.basis:
+                    if (rep >> (v.bit_length() - 1)) & 1:
+                        rep ^= v
+                label = sum(((rep >> i) & 1) << j for j, i in enumerate(free))
+                assert view.reduce(x) == rep
+                assert view.project(x) == label
+                assert view.transversal[label] == rep
+
+
 def test_is_subgroup():
     assert is_subgroup(Subgroup.generated_by(4, [5, 9]).members)
     assert not is_subgroup(ElementSet.from_elements(4, [0, 1, 2]))

@@ -14,7 +14,6 @@ from f2sets.generators import census_fixture_suite, round_sets_with_isolated_edg
 from f2sets.structure import (
     CensusError,
     classify_max_sumfree,
-    construct,
     construct_cap_replacement,
     construct_coset,
     construct_punctured,
@@ -194,10 +193,8 @@ def test_cap_replacement_is_not_a_cap_at_r6():
 
 
 def test_construct_dispatch_and_errors():
-    A = construct("coset", r=3)
+    A = construct_coset(3)
     assert A.elements() == [4, 5, 6, 7]
-    with pytest.raises(ValueError):
-        construct("mystery")
     with pytest.raises(ValueError):
         construct_subgroup_union(3)
     with pytest.raises(ValueError):
