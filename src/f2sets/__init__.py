@@ -18,6 +18,7 @@ from .core import (
     period,
     quotient_project,
     span,
+    subgroup_sum,
 )
 from .sumsets import (
     PredicateReport,
@@ -53,6 +54,7 @@ __all__ = [
     "period",
     "quotient_project",
     "span",
+    "subgroup_sum",
     "PredicateReport",
     "RepCountTable",
     "alldisjoint_check",

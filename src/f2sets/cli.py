@@ -4,7 +4,8 @@ and a one-line human summary to stderr.
 Exit codes: 0 when the verdict is true or the operation succeeded, 1 when a
 check returned a false verdict (the witness is in the JSON), 2 for usage or
 input errors. Each command accepts only the flags it reads; a flag read only for
-some values of its positional argument is a usage error with any other value.
+some values of its positional argument, or only with another flag, is a usage
+error otherwise.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .structure import (
     tangent_construction,
 )
 from .sumsets import (
+    _cross_counts,
     alldisjoint_check,
     is_maximal_sum_free,
     is_minimal_saturating,
@@ -52,7 +54,6 @@ from .sumsets import (
     is_saturating,
     is_sum_free,
     kneser_check,
-    rep_counts,
     s2_bound_check,
     sfnotround_check,
     sumset,
@@ -156,7 +157,8 @@ def _reject_unread(args, readers, *dests: str) -> None:
     for dest in dests:
         value = getattr(args, dest)  # None, or False for --stdin, when not given
         if value is not None and value is not False:
-            raise UsageError(f"--{dest} is read only by {args.command} {', '.join(readers)}")
+            flag = dest.replace("_", "-")
+            raise UsageError(f"--{flag} is read only by {args.command} {', '.join(readers)}")
 
 
 def _emit(payload: dict, summary: str, code: int) -> int:
@@ -167,6 +169,16 @@ def _emit(payload: dict, summary: str, code: int) -> int:
 
 def _budget(args) -> SearchBudget:
     return SearchBudget(max_nodes=args.budget_nodes, max_seconds=args.budget_secs)
+
+
+def _search_options(args) -> dict:
+    """The budget, audit, seed and threads of a search command; --seed is the
+    audit's sampling seed, so it needs --audit."""
+    if not args.audit:
+        _reject_unread(args, ["--audit"], "seed")
+    return {"budget": _budget(args), "audit": args.audit,
+            "seed": 0 if args.seed is None else args.seed,
+            "threads": 1 if args.threads is None else args.threads}
 
 
 def cmd_check(args) -> int:
@@ -198,8 +210,8 @@ def cmd_sumset(args) -> int:
     C = B if args.set2 is None else _load_set(args, second=True)
     S = sumset(B, C)
     payload = {"sumset": S.to_json(), "count": len(S)}
-    if args.counts and C.bits == B.bits:
-        payload["ordered_counts"] = [int(c) for c in rep_counts(B).counts]
+    if args.counts:
+        payload["ordered_counts"] = _cross_counts(B, C).tolist()
     return _emit(payload, f"|B+C| = {len(S)}", 0)
 
 
@@ -280,10 +292,7 @@ def cmd_enumerate(args) -> int:
         action=args.action,
         size_min=args.size_min,
         size_max=args.size_max,
-        budget=_budget(args),
-        audit=args.audit,
-        seed=args.seed,
-        threads=args.threads,
+        **_search_options(args),
     )
     payload = report.to_json(include_representatives=args.command == "enumerate")
     if args.tsv:
@@ -296,10 +305,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.theorem == "classification":
-        payload = verify_classification(
-            args.r, args.threshold, budget=_budget(args), audit=args.audit,
-            seed=args.seed, threads=args.threads,
-        )
+        if args.r <= 4:  # one lattice pass: no search to budget, audit or split
+            _reject_unread(args, ["classification --r >= 5"], "audit", "budget_nodes",
+                           "budget_secs", "threads", "seed")
+        payload = verify_classification(args.r, args.threshold, **_search_options(args))
         ok = payload["verdict"]
     elif args.theorem == "factdt":
         payload = verify_factdt(args.r, budget=_budget(args))
@@ -346,8 +355,8 @@ def _add_set(p: argparse.ArgumentParser) -> None:
 def _add_budget(p: argparse.ArgumentParser, *, search: bool = False) -> None:
     """The shared search budget; with search, also the audit, its seed and the threads."""
     if search:
-        p.add_argument("--seed", type=int, default=0, help="audit sampling seed")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--seed", type=int, help="audit sampling seed; default 0")
+        p.add_argument("--threads", type=int, help="default 1")
         p.add_argument("--audit", action="store_true",
                        help="re-check a sample of pruned nodes with plain oracles")
     p.add_argument("--budget-nodes", type=int)

@@ -93,6 +93,13 @@ def translate_bits(bits: int, g: int, r: int) -> int:
     return bits
 
 
+def _close_bits(bits: int, basis: Iterable[int], r: int) -> int:
+    """The 2^r-bit set plus the span of basis: one translate per basis vector."""
+    for v in basis:
+        bits |= translate_bits(bits, v, r)
+    return bits
+
+
 def _bits_to_mask(bits: int, r: int) -> np.ndarray:
     """A 2^r-bit integer as a 0/1 uint8 table over the group: entry i is bit i."""
     n = 1 << r
@@ -399,10 +406,7 @@ class Subgroup:
             if not (0 <= g < n):
                 raise ValueError(f"generator {g} out of range for rank {rank}")
         basis = _reduced_basis(gens)
-        bits = 1  # {0}
-        for v in basis:
-            bits |= translate_bits(bits, v, rank)
-        return cls(rank, basis, ElementSet(rank, bits))
+        return cls(rank, basis, ElementSet(rank, _close_bits(1, basis, rank)))
 
     @classmethod
     def whole_group(cls, rank: int) -> "Subgroup":
@@ -443,23 +447,50 @@ def is_subgroup(B: ElementSet) -> bool:
 def period(B: ElementSet) -> Subgroup:
     """The stabilizer {g : B + g = B}. Equals the whole group iff B is empty or full.
 
-    Candidates are restricted to b0 + B for a fixed b0 in B; each survivor is
-    confirmed with a full bitwise translation check.
+    Found by candidate elimination. Every shift that fixes B lies in b0 + B,
+    b0 = min B, so the candidates start as (b0 + B) ∖ {0}, and the stabiliser
+    found so far is P = {0}. The least candidate g is tested with one translate:
+    - if B + g = B, then g joins P, and the new coset g + P leaves the
+      candidates;
+    - otherwise some x in B has x + g outside B, and every shift that fixes B
+      lies in x + B, so the candidates shrink to those in x + B. That drops
+      g, and all of g + P too, since B is P-periodic.
+    Each step costs two 2^r-bit translates and removes at least one
+    candidate, so at most 2·|B| translates in all; in practice about dim P
+    plus a few, because one failing x typically cuts the candidates to a
+    small fraction.
     """
     r = B.rank
     if len(B) == 0 or B.is_full():
         return Subgroup.whole_group(r)
-    b0 = B.min_element()
-    stabil = []
-    for b in B:
-        g = b0 ^ b
-        if translate_bits(B.bits, g, r) == B.bits:
-            stabil.append(g)
-    sub = Subgroup.generated_by(r, stabil)
-    # The valid shifts already form a subgroup; spanning must not add anything.
-    if sub.order != len(stabil):
-        raise InternalError(f"period: {len(stabil)} shifts span {sub.order} elements")
-    return sub
+    bits = B.bits
+    found = 1  # P, as bits
+    gens = []
+    candidates = translate_bits(bits, B.min_element(), r) & ~1
+    while candidates:
+        g = (candidates & -candidates).bit_length() - 1
+        moved = translate_bits(bits, g, r)
+        if moved == bits:
+            coset = translate_bits(found, g, r)
+            found |= coset
+            candidates &= ~coset
+            gens.append(g)
+        else:
+            escape = bits & ~moved  # x in B with x + g outside B
+            x = (escape & -escape).bit_length() - 1
+            candidates &= translate_bits(bits, x, r)
+    basis = _reduced_basis(gens)
+    # Each accepted shift lay outside P, and each basis vector must fix B.
+    if len(basis) != len(gens) or any(translate_bits(bits, v, r) != bits for v in basis):
+        raise InternalError(f"period: shifts {gens} do not span a stabiliser of B")
+    return Subgroup(r, basis, ElementSet(r, found))
+
+
+def subgroup_sum(B: ElementSet, H: Subgroup) -> ElementSet:
+    """B + H, the union of the cosets of H that meet B."""
+    if B.rank != H.rank:
+        raise RankMismatchError(f"rank {B.rank} vs {H.rank}")
+    return ElementSet(B.rank, _close_bits(B.bits, H.basis, B.rank))
 
 
 @dataclass(frozen=True)

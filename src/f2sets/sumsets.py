@@ -70,6 +70,7 @@ from .core import (
     _mask_to_bits,
     indices_to_bits,
     period,
+    subgroup_sum,
 )
 
 # Kernel cut-overs and the transform's factor rank; the module docstring
@@ -382,8 +383,8 @@ def kneser_check(B: ElementSet, C: ElementSet) -> PredicateReport:
     if len(S) > len(B) + len(C) - 1:
         return PredicateReport("kneser", True, detail="hypothesis |B+C| <= |B|+|C|-1 not triggered")
     H = period(S)
-    bh = len(sumset(B, H.members))
-    ch = len(sumset(C, H.members))
+    bh = len(subgroup_sum(B, H))
+    ch = len(subgroup_sum(C, H))
     lhs = len(S)
     rhs = bh + ch - H.order
     if lhs == rhs:

@@ -92,13 +92,23 @@ def test_dset_and_sumset(monkeypatch):
     assert code == 0 and payload == {"sumset": {"r": 3, "elements": []}, "count": 0}
 
     # Without --counts no count table is built.
-    def unused(A):
+    def unused(*sets):
         raise RuntimeError("count table built without --counts")
 
-    monkeypatch.setattr("f2sets.cli.rep_counts", unused)
+    monkeypatch.setattr("f2sets.cli._cross_counts", unused)
     code, payload, _ = run_cli(["sumset", "--set", set_arg(3, [1, 2])])
     assert code == 0
     assert payload == {"sumset": {"r": 3, "elements": [0, 3]}, "count": 2}
+
+
+def test_sumset_counts_of_two_sets_is_the_cross_table():
+    B, C = [1, 2, 7, 9, 12], [0, 3, 5, 9]
+    code, payload, _ = run_cli(["sumset", "--set", set_arg(4, B), "--set2", set_arg(4, C),
+                                "--counts"])
+    counts = payload["ordered_counts"]
+    assert code == 0 and sum(counts) == len(B) * len(C)
+    assert counts == [sum(b ^ c == d for b in B for c in C) for d in range(16)]
+    assert payload["sumset"]["elements"] == [d for d in range(16) if counts[d]]
 
 
 def test_graph_payload():
@@ -284,6 +294,25 @@ def test_flags_a_command_does_not_read_exit_two(tmp_path):
     assert "--shift is read only by construct shifted-cap, cap-replacement" in err
     _, _, err = run_cli(["fuzz", "sfnotround", "--iters", "5"])
     assert "--iters is read only by fuzz kneser" in err
+
+
+def test_search_flags_at_rank_four_and_seed_without_audit_exit_two():
+    # verify classification at r <= 4 is one lattice pass: it reads --threshold alone.
+    base = ["verify", "classification", "--r", "4"]
+    for extra in (["--audit"], ["--budget-nodes", "1"], ["--budget-secs", "1"],
+                  ["--threads", "2"], ["--seed", "5"]):
+        code, payload, err = run_cli([*base, *extra])
+        assert code == 2 and payload is None, extra
+        assert f"{extra[0]} is read only by verify classification --r >= 5" in err
+    code, payload, _ = run_cli(["verify", "classification", "--r", "3", "--threshold", "light"])
+    assert code == 0 and payload["verdict"] is True
+    # --seed is the audit's sampling seed.
+    for command in ("enumerate", "spectrum"):
+        code, payload, err = run_cli([command, "any", "--r", "3", "--seed", "5"])
+        assert code == 2 and payload is None
+        assert "--seed is read only by " + command + " --audit" in err
+    code, payload, _ = run_cli(["enumerate", "any", "--r", "3", "--seed", "5", "--audit"])
+    assert code == 0 and payload["complete"] is True
 
 
 def test_canonical_cli():

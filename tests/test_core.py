@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from f2sets import (
     ElementSet,
+    InternalError,
     QuotientView,
     RankMismatchError,
     Subgroup,
@@ -15,7 +16,10 @@ from f2sets import (
     period,
     quotient_project,
     span,
+    subgroup_sum,
+    sumset,
 )
+from f2sets import core
 from f2sets.core import translate_bits
 
 from conftest import oracle_period, oracle_span
@@ -154,6 +158,74 @@ def test_union_with_forced_period(rb, data):
     A = ElementSet(r, bits)
     U = A | A.translate(h)
     assert h in period(U).members
+
+
+coset_unions = st.integers(min_value=1, max_value=10).flatmap(
+    lambda r: st.tuples(
+        st.just(r),
+        st.lists(st.integers(0, (1 << r) - 1), max_size=r),  # subgroup generators
+        st.lists(st.integers(0, (1 << r) - 1), min_size=1, max_size=6),  # coset shifts
+        st.one_of(st.none(), st.integers(0, (1 << r) - 1)),  # one point toggled
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coset_unions)
+def test_period_of_coset_unions_matches_scan_oracle(case):
+    # Unions of cosets have large periods (the confirm step); one toggled
+    # point leaves a small one (the eliminate step).
+    r, gens, shifts, noise = case
+    H = Subgroup.generated_by(r, gens)
+    bits = 0
+    for g in shifts:
+        bits |= H.coset(g).bits
+    if noise is not None:
+        bits ^= 1 << noise
+    A = ElementSet(r, bits)
+    assert period(A) == Subgroup.generated_by(r, oracle_period(A))
+
+
+def test_period_of_highrank_coset_triple():
+    # 3 cosets of an index-64 H inside one coset of an index-16 K ⊇ H: 3 of
+    # the 4 points of K/H have no nonzero period, so the period is H itself.
+    rng = random.Random(16)
+    r = 16
+    gens = []
+    while len(gens) < r - 6:
+        v = rng.randrange(1, 1 << r)
+        if Subgroup.generated_by(r, gens + [v]).dim > len(gens):
+            gens.append(v)
+    H = Subgroup.generated_by(r, gens)
+    k1 = next(v for v in iter(lambda: rng.randrange(1 << r), None) if v not in H)
+    k2 = next(v for v in iter(lambda: rng.randrange(1 << r), None)
+              if v not in H and v ^ k1 not in H)
+    g = rng.randrange(1 << r)
+    B = H.coset(g) | H.coset(g ^ k1) | H.coset(g ^ k2)
+    P = period(B)
+    assert P == H
+    assert all(B.translate(v) == B for v in P.basis)
+    assert period(B.without_element(g)).order == 1
+
+
+def test_period_invariant_guard_raises(monkeypatch):
+    # A basis vector that moves B must raise, under python -O as well.
+    B = Subgroup.generated_by(4, [1, 2]).coset(4)
+    monkeypatch.setattr(core, "_reduced_basis", lambda gens: tuple(8 for _ in gens))
+    with pytest.raises(InternalError):
+        period(B)
+
+
+def test_subgroup_sum_is_the_sumset_with_the_members():
+    rng = random.Random(3)
+    for _ in range(200):
+        r = rng.randrange(1, 11)
+        n = 1 << r
+        H = Subgroup.generated_by(r, [rng.randrange(n) for _ in range(rng.randrange(r + 1))])
+        B = ElementSet.from_elements(r, rng.sample(range(n), rng.randrange(n + 1)))
+        assert subgroup_sum(B, H) == sumset(B, H.members)
+    with pytest.raises(RankMismatchError):
+        subgroup_sum(ElementSet.full(3), Subgroup.whole_group(4))
 
 
 def test_quotient_examples():
