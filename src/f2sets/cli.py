@@ -137,9 +137,13 @@ def _load_set(args, second: bool = False) -> ElementSet:
     else:
         literal, flag = args.set, "--set"
         if literal is None and args.file:
-            literal = Path(args.file).read_text()
+            flag = "--file"
+            try:
+                literal = Path(args.file).read_text()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise UsageError(f"cannot read --file: {exc}")
         if literal is None and args.stdin:
-            literal = sys.stdin.read()
+            literal, flag = sys.stdin.read(), "--stdin"
     if literal is None:
         raise UsageError(f"missing {flag}")
     try:
@@ -296,7 +300,10 @@ def cmd_enumerate(args) -> int:
     )
     payload = report.to_json(include_representatives=args.command == "enumerate")
     if args.tsv:
-        Path(args.tsv).write_text(report.to_tsv())
+        try:
+            Path(args.tsv).write_text(report.to_tsv())
+        except OSError as exc:
+            raise UsageError(f"cannot write --tsv: {exc}")
     code = 0 if report.complete else 1
     status = "complete" if report.complete else "INCOMPLETE"
     return _emit(payload, f"enumerate {args.predicate} r={args.r}: {status}, "

@@ -21,15 +21,14 @@ from .structure import CensusError, coset_census
 from .urgraph import build, isolated_edges
 
 
-def random_subset(rng: Xorshift64, r: int, size: int, *, avoid_zero: bool = False) -> ElementSet:
+def random_subset(rng: Xorshift64, r: int, size: int) -> ElementSet:
     n = 1 << r
-    floor = 1 if avoid_zero else 0
-    if size > n - floor:
+    if size > n:
         raise ValueError("requested size exceeds the universe")
     bits = 0
     count = 0
     while count < size:
-        e = floor + rng.randrange(n - floor)
+        e = rng.randrange(n)
         if not (bits >> e) & 1:
             bits |= 1 << e
             count += 1

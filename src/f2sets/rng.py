@@ -50,6 +50,3 @@ class Xorshift64:
             if self.random() < density:
                 bits |= 1 << i
         return bits
-
-    def choice(self, items: list):
-        return items[self.randrange(len(items))]

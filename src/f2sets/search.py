@@ -48,6 +48,7 @@ from .sumsets import (
     is_maximal_sum_free,
     is_minimal_saturating,
     is_round,
+    is_saturating,
     is_sum_free,
     rep_counts,
     sumset,
@@ -521,9 +522,7 @@ PROFILES: dict[str, Callable[[], object]] = {
     "maximal-sum-free": MaximalSumFreeProfile,
     "minimal-saturating": MinimalSaturatingProfile,
     "round": lambda: PlainProfile(lambda A: bool(is_round(A)), "round"),
-    "saturating": lambda: PlainProfile(
-        lambda A: 0 not in A and bool(sumset(A, A).union(A).is_full()), "saturating"
-    ),
+    "saturating": lambda: PlainProfile(lambda A: bool(is_saturating(A)), "saturating"),
     "any": lambda: PlainProfile(lambda A: True, "any"),
 }
 
@@ -1195,7 +1194,7 @@ def round_property_check(A: ElementSet) -> dict:
         if r >= 2 and len(A) > (1 << (r - 2)) + 3:
             if not is_sum_free(D):
                 out["violations"].append("unique sums not sum-free above the threshold")
-            if not urgraph.degree_sum_check(A):
+            if not urgraph.degree_sum_check(G):
                 out["violations"].append("edge degree bound failed")
     out["ok"] = not out["violations"]
     return out

@@ -139,11 +139,10 @@ def classify_max_sumfree(S: ElementSet) -> SumfreeClass:
 # -- constructions
 
 
-def construct_coset(r: int, subgroup: Subgroup | None = None, g: int | None = None) -> ElementSet:
-    """The nonzero coset g + H of an index-2 subgroup: minimal saturating."""
-    H = subgroup if subgroup is not None else Subgroup.generated_by(r, (1 << i for i in range(r - 1)))
-    if H.rank != r or H.index != 2:
-        raise ValueError("construct_coset needs an index-2 subgroup")
+def construct_coset(r: int, g: int | None = None) -> ElementSet:
+    """The nonzero coset g + H of the index-2 subgroup H spanned by the first
+    r - 1 unit vectors: minimal saturating."""
+    H = Subgroup.generated_by(r, (1 << i for i in range(r - 1)))
     if g is None:
         g = H.members.complement().min_element()
     if g in H.members:
@@ -151,11 +150,10 @@ def construct_coset(r: int, subgroup: Subgroup | None = None, g: int | None = No
     return H.coset(g)
 
 
-def construct_punctured(r: int, subgroup: Subgroup | None = None, g: int | None = None) -> ElementSet:
-    """{g} together with the nonzero part of an index-2 subgroup: minimal saturating."""
-    H = subgroup if subgroup is not None else Subgroup.generated_by(r, (1 << i for i in range(r - 1)))
-    if H.rank != r or H.index != 2:
-        raise ValueError("construct_punctured needs an index-2 subgroup")
+def construct_punctured(r: int, g: int | None = None) -> ElementSet:
+    """{g} together with the nonzero part of the index-2 subgroup H spanned by
+    the first r - 1 unit vectors: minimal saturating."""
+    H = Subgroup.generated_by(r, (1 << i for i in range(r - 1)))
     if g is None:
         g = H.members.complement().min_element()
     if g in H.members:
@@ -345,9 +343,7 @@ class CosetCensus:
         }
 
 
-def _choose_isolated_edges(
-    G: urgraph.UrGraph, edges: list[tuple[int, int]]
-) -> tuple[tuple[int, int], tuple[int, int]]:
+def _choose_isolated_edges(edges: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
     zero_edges = [e for e in edges if e[0] == 0]
     if not zero_edges:
         raise CensusError("the set must be translated so that (0, a1) is an isolated edge")
@@ -381,7 +377,7 @@ def coset_census(
     if len(iso) < 2:
         raise CensusError("need at least two isolated edges")
     if first_edge is None or second_edge is None:
-        first_edge, second_edge = _choose_isolated_edges(G, iso)
+        first_edge, second_edge = _choose_isolated_edges(iso)
     if first_edge not in iso or second_edge not in iso:
         raise CensusError("chosen edges are not isolated edges of the graph")
     if first_edge[0] != 0:

@@ -1,9 +1,11 @@
 """The unique-representation graph of a set: vertices are the elements, and two
 vertices are adjacent when their sum has exactly one unordered representation.
 
-The graph is materialized (vertex list plus adjacency bit-rows) since the sets
-of interest stay small at desk scale. Analyses are pure; matching is exact via
-augmenting paths with blossom contraction, so non-bipartite instances are fine.
+The graph is materialized (vertex list plus adjacency bit-rows) for desk-scale
+sets: building it scans all vertex pairs once some nonzero sum is unique, which
+takes seconds for the rank-16 star {0} ∪ (H-coset). Analyses are pure; matching
+is exact via augmenting paths with blossom contraction, so non-bipartite
+instances are fine.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .core import ElementSet, InternalError, _peel_bits, translate_bits
-from .sumsets import PredicateReport, unique_sums
+import numpy as np
+
+from .core import ElementSet, InternalError, _peel_bits
+from .sumsets import _SPARSE_PRODUCT_LIMIT, PredicateReport, rep_counts
 
 
 @dataclass(frozen=True)
@@ -50,39 +54,35 @@ class UrGraph:
 def build(A: ElementSet) -> UrGraph:
     """Graph on A with an edge (a1, a2) whenever a1 + a2 is a unique sum.
 
-    The edge count equals the number of unique sums whenever |A| >= 2.
+    One count table marks the unique nonzero sums. The index pairs i < j are
+    scanned from the diagonal on, in row blocks of at most
+    `_SPARSE_PRODUCT_LIMIT` pairs, so the edges come out sorted, one per
+    unique nonzero sum.
     """
     if len(A) == 0:
         raise ValueError("cannot build a graph on the empty set")
     verts = tuple(A.elements())
-    index = {v: i for i, v in enumerate(verts)}
     n = len(verts)
-    adj = [0] * n
+    unique = rep_counts(A).counts == 2
+    unique[0] = False  # N(0) = |A|, never a pair of distinct vertices
+    want = int(np.count_nonzero(unique))
     edges: list[tuple[int, int]] = []
     labels: list[int] = []
-    if n > 1:
-        for d in unique_sums(A):
-            if d == 0:
-                continue
-            both = A.bits & translate_bits(A.bits, d, A.rank)
-            if both.bit_count() != 2:
-                raise InternalError(f"unique sum {d} does not come from exactly one pair")
-            a = (both & -both).bit_length() - 1
-            i, j = index[a], index[a ^ d]
-            if i > j:
-                i, j = j, i
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-            edges.append((i, j))
-            labels.append(d)
-    order = sorted(range(len(edges)), key=lambda k: edges[k])
-    return UrGraph(
-        A.rank,
-        verts,
-        tuple(adj),
-        tuple(edges[k] for k in order),
-        tuple(labels[k] for k in order),
-    )
+    if want:
+        idx = A.indices()
+        rows = max(1, _SPARSE_PRODUCT_LIMIT // n)
+        for start in range(0, n, rows):
+            sums = np.bitwise_xor.outer(idx[start : start + rows], idx[start:])
+            ii, jj = np.nonzero(np.triu(unique[sums], 1))
+            labels += sums[ii, jj].tolist()
+            edges += zip((ii + start).tolist(), (jj + start).tolist())
+    if len(edges) != want:
+        raise InternalError(f"{len(edges)} edges for {want} unique nonzero sums")
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return UrGraph(A.rank, verts, tuple(adj), tuple(edges), tuple(labels))
 
 
 def isolated_edges(G: UrGraph) -> list[tuple[int, int]]:
@@ -199,14 +199,13 @@ def matching_number(G: UrGraph) -> MatchingResult:
     return MatchingResult(len(pairs), tuple(pairs))
 
 
-def degree_sum_check(A: ElementSet) -> PredicateReport:
-    """For |A| > 2^(r-2) + 3, every edge (a1, a2) satisfies
-    deg(a1) + deg(a2) >= |A| + |D(A)| - 2^(r-1)."""
-    r = A.rank
-    if r < 2 or len(A) <= (1 << (r - 2)) + 3:
+def degree_sum_check(G: UrGraph) -> PredicateReport:
+    """For the graph G of A with |A| > 2^(r-2) + 3, every edge (a1, a2) satisfies
+    deg(a1) + deg(a2) >= |A| + |D(A)| - 2^(r-1), where |D(A)| is the edge count."""
+    r = G.rank
+    if r < 2 or G.n <= (1 << (r - 2)) + 3:
         raise ValueError("degree_sum_check needs |A| > 2^(r-2) + 3")
-    G = build(A)
-    need = len(A) + len(G.edges) - (1 << (r - 1))
+    need = G.n + len(G.edges) - (1 << (r - 1))
     degs = G.degrees()
     for i, j in G.edges:
         if degs[i] + degs[j] < need:

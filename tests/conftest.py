@@ -40,6 +40,22 @@ def oracle_unique_sums(A: ElementSet) -> set[int]:
     return {d for d, pairs in reps.items() if len(pairs) == 1}
 
 
+def oracle_urgraph(A: ElementSet) -> tuple:
+    """(vertices, adj, edges, labels) of the unique-representation graph, by
+    listing the pairs i < j of vertex indices behind each sum."""
+    verts = A.elements()
+    pairs: dict[int, list[tuple[int, int]]] = {}
+    for i, a in enumerate(verts):
+        for j in range(i + 1, len(verts)):
+            pairs.setdefault(a ^ verts[j], []).append((i, j))
+    edges = sorted(p[0] for p in pairs.values() if len(p) == 1)
+    adj = [0] * len(verts)
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return tuple(verts), tuple(adj), tuple(edges), tuple(verts[i] ^ verts[j] for i, j in edges)
+
+
 def oracle_sumset(B: ElementSet, C: ElementSet) -> set[int]:
     cs = C.elements()  # listed once: iterating a high-rank ElementSet is slow
     return {b ^ c for b in B.elements() for c in cs}

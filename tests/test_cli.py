@@ -202,6 +202,24 @@ def test_enumerate_tsv(tmp_path):
     assert len(lines) == 3
 
 
+def test_unreadable_files_and_bad_json_exit_two_naming_the_flag(tmp_path, monkeypatch):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{bad")
+    for argv, flag in (
+        (["dset", "--file", str(tmp_path / "missing.json")], "--file"),
+        (["dset", "--file", str(tmp_path)], "--file"),
+        (["dset", "--file", str(bad)], "--file"),
+        (["enumerate", "any", "--r", "2", "--tsv", str(tmp_path / "no" / "x.tsv")], "--tsv"),
+    ):
+        code, payload, err = run_cli(argv)
+        assert code == 2 and payload is None, argv
+        assert flag in err and "--set" not in err, argv
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{bad"))
+    code, payload, err = run_cli(["dset", "--stdin"])
+    assert code == 2 and payload is None
+    assert "--stdin" in err and "--set" not in err
+
+
 def test_verify_commands():
     code, payload, _ = run_cli(["verify", "classification", "--r", "4"])
     assert code == 0 and payload["verdict"]

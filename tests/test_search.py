@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 import time
 
@@ -15,7 +17,8 @@ from f2sets import (
     sumset,
     unique_sums,
 )
-from f2sets.generators import linear_image
+from f2sets import urgraph
+from f2sets.generators import linear_image, round_set_suite
 from f2sets.rng import Xorshift64
 from f2sets.search import (
     MinimalSaturatingProfile,
@@ -32,6 +35,7 @@ from f2sets.search import (
     enumerate_classes,
     find_example,
     plain_scan,
+    round_property_check,
     second_largest_check,
     threshold_value,
     verify_classification,
@@ -665,3 +669,22 @@ def test_xorshift_reference_values():
     for _ in range(1000):
         counts[rng3.randrange(2)] += 1
     assert 350 < counts[0] < 650
+
+
+def test_round_property_check_outputs_are_pinned(monkeypatch):
+    # The pinned values come from the per-label graph builder that the pair
+    # scan replaced; 49 of the sets are large enough for the edge degree
+    # bound. Each set builds its graph once.
+    built = []
+    real = urgraph.build
+    monkeypatch.setattr(urgraph, "build", lambda A: built.append(A) or real(A))
+    sets = [A for r, k in ((4, 100), (5, 100), (6, 100), (8, 100), (9, 40))
+            for A in round_set_suite(r, k, seed=1414)]
+    outs = [round_property_check(A) for A in sets]
+    assert built == [A for A in sets if len(A) >= 2]
+    assert all(o["ok"] for o in outs)
+    assert sum(o["size"] > (1 << (o["r"] - 2)) + 3 for o in outs) == 49
+    assert sum(o["unique_sums"] for o in outs) == 17334
+    assert sum(o.get("matching", 0) for o in outs) == 2679
+    digest = hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest()
+    assert digest == "e81c29d95163dadd18168106e190e1fc665e1573b06a65459be81128a8dcee33"

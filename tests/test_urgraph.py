@@ -1,8 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import f2sets
 from f2sets import ElementSet, Subgroup, is_round, is_sum_free, unique_sums
+from f2sets import urgraph
 from f2sets.urgraph import (
     MatchingResult,
     build,
@@ -14,7 +21,7 @@ from f2sets.urgraph import (
     two_star_partition,
 )
 
-from conftest import oracle_matching
+from conftest import oracle_matching, oracle_urgraph
 
 
 def els(r, elements):
@@ -26,6 +33,70 @@ def test_build_two_element_set():
     assert G.vertices == (0, 5)
     assert G.edges == ((0, 1),)
     assert G.edge_labels == (5,)
+
+
+def _parts(G):
+    return G.vertices, G.adj, G.edges, G.edge_labels
+
+
+def test_build_matches_pair_oracle_exhaustively_at_small_ranks():
+    for r in (1, 2, 3):
+        for bits in range(1, 1 << (1 << r)):
+            A = ElementSet(r, bits)
+            assert _parts(build(A)) == oracle_urgraph(A), A
+
+
+@pytest.mark.parametrize("row_pairs", [None, 5])
+def test_build_matches_pair_oracle_on_random_sets(monkeypatch, row_pairs):
+    # row_pairs = 5 scans one row per block, so edges come from many blocks.
+    if row_pairs is not None:
+        monkeypatch.setattr(urgraph, "_SPARSE_PRODUCT_LIMIT", row_pairs)
+    rnd = random.Random(14)
+    for _ in range(150):
+        r = rnd.randint(4, 9)
+        n = 1 << r
+        A = ElementSet.from_elements(r, rnd.sample(range(n), rnd.randint(1, min(n, 120))))
+        G = build(A)
+        assert _parts(G) == oracle_urgraph(A), A
+        assert all(type(x) is int for part in (G.adj, G.edge_labels, *G.edges) for x in part)
+
+
+def test_build_star_at_rank_twelve_spans_two_row_blocks():
+    H = Subgroup.generated_by(12, [1 << i for i in range(11)])
+    G = build(H.coset(1 << 11).with_zero())
+    assert G.n == 2049 and G.n * G.n > urgraph._SPARSE_PRODUCT_LIMIT
+    assert G.edges == tuple((0, j) for j in range(1, 2049))
+    assert G.edge_labels == G.vertices[1:]
+    assert G.degree(0) == 2048
+
+
+def test_build_guard_raises_on_a_wrong_count_table():
+    # A count table marking a sum with no pair as unique leaves the edge count
+    # short; the guard must raise, under python -O as well.
+    script = textwrap.dedent("""
+        from f2sets import ElementSet, InternalError, urgraph
+        from f2sets.sumsets import RepCountTable
+
+        real = urgraph.rep_counts
+
+        def forged(A):
+            counts = real(A).counts.copy()
+            counts[7] = 2
+            return RepCountTable(A.rank, len(A), counts)
+
+        urgraph.rep_counts = forged
+        try:
+            urgraph.build(ElementSet.from_elements(3, [0, 1]))
+        except InternalError:
+            print("raised")
+    """)
+    src = str(Path(f2sets.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout.strip() == "raised", (flags, proc.stderr)
 
 
 def test_build_rejects_empty():
@@ -154,9 +225,9 @@ def test_degree_sum_check_on_star():
     S = H.coset(16)
     A = S.with_zero()
     assert len(A) == 17
-    assert degree_sum_check(A)
+    assert degree_sum_check(build(A))
     with pytest.raises(ValueError):
-        degree_sum_check(els(5, [1, 2, 3]))
+        degree_sum_check(build(els(5, [1, 2, 3])))
 
 
 def test_round_iff_no_isolated_vertices_exhaustive_small():
