@@ -7,16 +7,20 @@ reproduces the exact corpus on any platform.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .core import (
     ElementSet,
     Subgroup,
     _basis_and_inverse,
+    _bits_to_mask,
     apply_linear,
+    indices_to_bits,
     linear_image,
     translate_bits,
 )
 from .rng import Xorshift64
-from .sumsets import _removals_losing, _unique_nonzero, rep_counts
+from .sumsets import _drop_partnered, _unique_partners, rep_counts
 from .structure import CensusError, coset_census
 from .urgraph import build, isolated_edges
 
@@ -60,22 +64,24 @@ def random_sum_free(rng: Xorshift64, r: int, *, maximal: bool = False) -> Elemen
 def trim_to_round(A: ElementSet, rng: Xorshift64) -> ElementSet:
     """Remove redundant elements (removal keeps 2A) until the set is round.
 
-    By the removal rule of `sumsets` the redundant elements are A ∖ (A + U(A)).
-    Each step draws uniformly among them in ascending order; the ordered count
-    table is updated in place on each removal instead of being recomputed.
+    By the removal rule of `sumsets` the redundant elements are those with no
+    unique partner: no b in A with a + b a unique nonzero sum. Each step draws
+    uniformly among them in ascending order. The count table, an indicator of
+    A and each element's partner count are kept and updated per removal
+    (`_drop_partnered`); the set itself is built once, at the end.
     """
+    r = A.rank
     idx = A.indices()
     counts = rep_counts(A).counts.copy()
+    ind = _bits_to_mask(A.bits, r)
+    deg = _unique_partners(idx, ind, np.flatnonzero(counts[1:] == 2) + 1)
     while len(idx) > 1:
-        redundant = A.difference(_removals_losing(A, _unique_nonzero(counts, A.rank)))
+        redundant = (deg == 0).nonzero()[0]
         if not len(redundant):
             break
-        a = int(redundant.indices()[rng.randrange(len(redundant))])
-        A = A.without_element(a)
-        idx = idx[idx != a]
-        counts[idx ^ a] -= 2
-        counts[0] -= 1
-    return A
+        p = int(redundant[rng.randrange(len(redundant))])
+        idx, deg = _drop_partnered(idx, deg, counts, ind, p)
+    return ElementSet(r, indices_to_bits(idx, r))
 
 
 def random_round_set(rng: Xorshift64, r: int) -> ElementSet:

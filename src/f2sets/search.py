@@ -52,7 +52,6 @@ from .sumsets import (
     is_sum_free,
     rep_counts,
     sumset,
-    unique_sums,
 )
 from .structure import classify_max_sumfree, decompose_saturating
 from . import urgraph
@@ -1172,29 +1171,36 @@ def verify_factdt(r: int = 5, *, budget: SearchBudget | None = None) -> dict:
 def round_property_check(A: ElementSet) -> dict:
     """Bundle of the round-set facts: at least half as many unique sums as
     elements, size at most unique sums plus matching number, triangle-freeness
-    and sum-free unique sums at the size thresholds, and the edge degree bound."""
+    and sum-free unique sums at the size thresholds, and the edge degree bound.
+
+    For |A| >= 2 all of it is read off the unique-representation graph: by
+    the removal rule an element is redundant exactly when it has no unique
+    partner, so A is round iff no vertex is isolated, and the unique sums are
+    the edge labels."""
     r = A.rank
     out: dict = {"r": r, "size": len(A), "violations": []}
-    if not is_round(A):
+    if len(A) < 2:
+        out["unique_sums"] = len(A)  # round by convention; a singleton's unique sum is 0
+        out["ok"] = True
+        return out
+    G = urgraph.build(A)
+    if not all(G.adj):
         out["violations"].append("input not round")
         return out
-    D = unique_sums(A)
-    out["unique_sums"] = len(D)
-    if 2 * len(D) < len(A):
+    out["unique_sums"] = len(G.edges)
+    if 2 * len(G.edges) < len(A):
         out["violations"].append("unique sums fewer than half the size")
-    if len(A) >= 2:
-        G = urgraph.build(A)
-        t = urgraph.matching_number(G).size
-        out["matching"] = t
-        if len(A) > len(D) + t:
-            out["violations"].append("size exceeds unique sums plus matching")
-        if r >= 2 and len(A) >= (1 << (r - 2)) + 3:
-            if urgraph.triangle_witness(G) is not None:
-                out["violations"].append("triangle at or above the threshold")
-        if r >= 2 and len(A) > (1 << (r - 2)) + 3:
-            if not is_sum_free(D):
-                out["violations"].append("unique sums not sum-free above the threshold")
-            if not urgraph.degree_sum_check(G):
-                out["violations"].append("edge degree bound failed")
+    t = urgraph.matching_number(G).size
+    out["matching"] = t
+    if len(A) > len(G.edges) + t:
+        out["violations"].append("size exceeds unique sums plus matching")
+    if r >= 2 and len(A) >= (1 << (r - 2)) + 3:
+        if urgraph.triangle_witness(G) is not None:
+            out["violations"].append("triangle at or above the threshold")
+    if r >= 2 and len(A) > (1 << (r - 2)) + 3:
+        if not is_sum_free(ElementSet.from_elements(r, G.edge_labels)):
+            out["violations"].append("unique sums not sum-free above the threshold")
+        if not urgraph.degree_sum_check(G):
+            out["violations"].append("edge degree bound failed")
     out["ok"] = not out["violations"]
     return out

@@ -51,7 +51,12 @@ when its only pair contains a, and for |A| >= 2
 
 So for watched points W inside U(A), the elements whose removal loses a point
 of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets, minimal
-saturating sets, the search profile and both trimmers all use this one rule.
+saturating sets, the search profile and the `find_example` trimmer use this
+set form. Per element, a is in A + U(A) iff it has a unique partner, some
+b != a in A with N(a + b) = 2. `_unique_partners` counts them, and
+`_drop_partnered` updates the counts on each removal, which is how
+`generators.trim_to_round` finds the redundant elements (count 0) without a
+sumset per step.
 """
 
 from __future__ import annotations
@@ -279,6 +284,40 @@ def _removals_losing(A: ElementSet, W: ElementSet) -> ElementSet:
     """The elements of A whose removal drops a point of W from 2A, for W
     inside U(A): by the removal rule (module docstring) they are A ∩ (A + W)."""
     return A.intersect(sumset(A, W))
+
+
+def _unique_partners(idx: np.ndarray, ind: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """The per-element form of `_removals_losing`: for each x of A (`idx`,
+    with 0/1 indicator `ind`), the number of w in W with x + w in A. Rows
+    are taken in blocks of at most `_SPARSE_PRODUCT_LIMIT` XORs."""
+    rows = max(1, _SPARSE_PRODUCT_LIMIT // max(1, len(W)))
+    return np.concatenate([ind[idx[start : start + rows, None] ^ W].sum(axis=1, dtype=np.int64)
+                           for start in range(0, max(1, len(idx)), rows)])
+
+
+def _drop_partnered(idx: np.ndarray, deg: np.ndarray, counts: np.ndarray, ind: np.ndarray,
+                    p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Remove a = idx[p] from A, where deg counts each element's unique
+    partners (`_unique_partners` over U(A)). Updates the count table and the
+    indicator in place, and returns idx and deg one shorter.
+
+    By the removal rule, each b loses the partner a when N(a + b) = 2. Each
+    sum whose count falls from 4 to 2 becomes unique, and both ends of its
+    one remaining pair gain a partner."""
+    a = int(idx[p])
+    idx[p:-1] = idx[p + 1 :]
+    deg[p:-1] = deg[p + 1 :]
+    idx, deg = idx[:-1], deg[:-1]
+    ind[a] = 0
+    d = idx ^ a
+    before = counts[d]
+    deg -= before == 2
+    counts[d] = before - 2
+    counts[0] -= 1
+    fell = d[before == 4]
+    if len(fell):
+        deg += _unique_partners(idx, ind, fell)
+    return idx, deg
 
 
 def unique_sums(A: ElementSet) -> ElementSet:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ElementSet, InternalError, _peel_bits
+from .core import ElementSet, InternalError
 from .sumsets import _SPARSE_PRODUCT_LIMIT, PredicateReport, rep_counts
 
 
@@ -38,9 +38,6 @@ class UrGraph:
 
     def degrees(self) -> list[int]:
         return [row.bit_count() for row in self.adj]
-
-    def neighbors(self, i: int) -> list[int]:
-        return _peel_bits(self.adj[i])
 
     def to_json(self) -> dict:
         return {
@@ -121,31 +118,34 @@ class MatchingResult:
         return {"size": self.size, "edges": [list(e) for e in self.edges]}
 
 
-def _find_augmenting(n: int, nbrs: list[list[int]], match: list[int], root: int) -> bool:
-    used = [False] * n
-    parent = [-1] * n
-    base = list(range(n))
-    used[root] = True
+def _find_augmenting(nbrs: list[list[int]], match: list[int], root: int) -> bool:
+    """One search for an augmenting path from the unmatched root; augments
+    `match` and returns True when it finds one. The search state covers only
+    the vertices it reaches (a vertex missing from `base` is its own base),
+    so a search costs what it visits, not the vertex count."""
+    used = {root}
+    parent: dict[int, int] = {}
+    base: dict[int, int] = {}
     queue = deque([root])
 
     def lca(a: int, b: int) -> int:
-        seen = [False] * n
+        seen = set()
         while True:
-            a = base[a]
-            seen[a] = True
+            a = base.get(a, a)
+            seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
-            b = base[b]
-            if seen[b]:
+            b = base.get(b, b)
+            if b in seen:
                 return b
             b = parent[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
-        while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base.get(v, v) != b:
+            blossom.add(base.get(v, v))
+            blossom.add(base.get(match[v], match[v]))
             parent[v] = child
             child = match[v]
             v = parent[match[v]]
@@ -153,20 +153,22 @@ def _find_augmenting(n: int, nbrs: list[list[int]], match: list[int], root: int)
     while queue:
         v = queue.popleft()
         for to in nbrs[v]:
-            if base[v] == base[to] or match[v] == to:
+            if base.get(v, v) == base.get(to, to) or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and parent[match[to]] != -1):
+            if to == root or (match[to] != -1 and match[to] in parent):
                 cur = lca(v, to)
-                blossom = [False] * n
+                blossom: set[int] = set()
                 mark_path(v, cur, to, blossom)
                 mark_path(to, cur, v, blossom)
-                for i in range(n):
-                    if blossom[base[i]]:
+                # Only reached vertices can have a base in the blossom;
+                # ascending order keeps the queue order of a full scan.
+                for i in sorted(used.union(parent)):
+                    if base.get(i, i) in blossom:
                         base[i] = cur
-                        if not used[i]:
-                            used[i] = True
+                        if i not in used:
+                            used.add(i)
                             queue.append(i)
-            elif parent[to] == -1:
+            elif to not in parent:
                 parent[to] = v
                 if match[to] == -1:
                     # Augment along the alternating path back to the root.
@@ -177,7 +179,7 @@ def _find_augmenting(n: int, nbrs: list[list[int]], match: list[int], root: int)
                         match[prev] = to
                         to = after
                     return True
-                used[match[to]] = True
+                used.add(match[to])
                 queue.append(match[to])
     return False
 
@@ -185,7 +187,10 @@ def _find_augmenting(n: int, nbrs: list[list[int]], match: list[int], root: int)
 def matching_number(G: UrGraph) -> MatchingResult:
     """Exact maximum matching with an explicit certificate."""
     n = G.n
-    nbrs = [G.neighbors(i) for i in range(n)]
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for i, j in G.edges:  # sorted edges give ascending neighbour lists
+        nbrs[i].append(j)
+        nbrs[j].append(i)
     match = [-1] * n
     # Greedy warm start keeps the augmenting phase short.
     for i, j in G.edges:
@@ -193,8 +198,8 @@ def matching_number(G: UrGraph) -> MatchingResult:
             match[i] = j
             match[j] = i
     for v in range(n):
-        if match[v] == -1:
-            _find_augmenting(n, nbrs, match, v)
+        if match[v] == -1 and nbrs[v]:
+            _find_augmenting(nbrs, match, v)
     pairs = sorted((i, match[i]) for i in range(n) if match[i] > i)
     return MatchingResult(len(pairs), tuple(pairs))
 

@@ -1,4 +1,10 @@
-from f2sets import ElementSet, is_round, is_sum_free, span, sumset
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from f2sets import ElementSet, generators, is_round, is_sum_free, span, sumset
 from f2sets.generators import (
     CENSUS_BASES,
     census_fixture_suite,
@@ -12,6 +18,13 @@ from f2sets.generators import (
 )
 from f2sets.rng import Xorshift64
 from f2sets.structure import coset_census
+from f2sets.sumsets import (
+    _drop_partnered,
+    _removals_losing,
+    _unique_nonzero,
+    _unique_partners,
+    rep_counts,
+)
 from f2sets.urgraph import build, isolated_edges
 
 from conftest import oracle_rep_counts
@@ -57,6 +70,72 @@ def test_trim_to_round_matches_reference():
             got_rng, want_rng = Xorshift64(seed), Xorshift64(seed)
             assert trim_to_round(A, got_rng) == reference_trim_to_round(A, want_rng)
             assert got_rng.next_u64() == want_rng.next_u64()
+
+
+def assert_partner_state(r, idx, deg, counts, ind):
+    """The state trim_to_round keeps, against a from-scratch recount of the set."""
+    B = ElementSet.from_elements(r, idx.tolist())
+    assert idx.tolist() == B.elements() == np.flatnonzero(ind).tolist()
+    fresh = rep_counts(B).counts
+    assert counts.tolist() == fresh.tolist()
+    partners = fresh[idx[:, None] ^ idx] == 2
+    np.fill_diagonal(partners, False)
+    assert deg.tolist() == partners.sum(axis=1).tolist()
+    if len(B) >= 2:
+        redundant = B.difference(_removals_losing(B, _unique_nonzero(fresh, r)))
+        assert idx[deg == 0].tolist() == redundant.elements()
+
+
+def partner_state(A):
+    idx = A.indices()
+    counts = rep_counts(A).counts.copy()
+    ind = np.array([int(x in A) for x in range(1 << A.rank)], dtype=np.uint8)
+    return idx, _unique_partners(idx, ind, np.flatnonzero(counts[1:] == 2) + 1), counts, ind
+
+
+random_sets = st.tuples(st.integers(1, 9), st.integers(0, 2**64 - 1),
+                        st.floats(0.0, 1.0), st.booleans())
+
+
+def draw_set(case):
+    r, seed, density, with_zero = case
+    A = ElementSet(r, Xorshift64(seed).sample_bits(1 << r, density))
+    return A.with_zero() if with_zero else A.nonzero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_sets, st.integers(0, 2**64 - 1))
+def test_trim_steps_keep_partner_counts_equal_to_a_recount(case, seed):
+    # A step hook: every removal trim_to_round makes is checked before and after.
+    A = draw_set(case)
+    r = A.rank
+    steps = []
+
+    def checked(idx, deg, counts, ind, p):
+        assert_partner_state(r, idx, deg, counts, ind)
+        assert deg[p] == 0  # only redundant elements are drawn
+        idx, deg = _drop_partnered(idx, deg, counts, ind, p)
+        assert_partner_state(r, idx, deg, counts, ind)
+        steps.append(p)
+        return idx, deg
+
+    with mock.patch.object(generators, "_drop_partnered", checked):
+        R = trim_to_round(A, Xorshift64(seed))
+    assert len(steps) == len(A) - len(R)
+    assert is_round(R)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_sets, st.data())
+def test_partner_counts_survive_any_removal_order(case, data):
+    # The update holds for every removal, not only of redundant elements.
+    A = draw_set(case)
+    idx, deg, counts, ind = partner_state(A)
+    assert_partner_state(A.rank, idx, deg, counts, ind)
+    while len(idx) > 1:
+        p = data.draw(st.integers(0, len(idx) - 1))
+        idx, deg = _drop_partnered(idx, deg, counts, ind, p)
+        assert_partner_state(A.rank, idx, deg, counts, ind)
 
 
 def test_random_sum_free():

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from f2sets import ElementSet, Subgroup, is_round, is_sum_free, unique_sums
 from f2sets import urgraph
 from f2sets.urgraph import (
     MatchingResult,
+    UrGraph,
     build,
     degree_sum_check,
     isolated_edges,
@@ -209,6 +211,32 @@ def test_matching_against_exhaustive_oracle():
             seen.add(i)
             seen.add(j)
         checked += 1
+
+
+def star_graph(r):
+    """The graph of {0} ∪ (e + H) for the hyperplane H, built edge by edge:
+    every leaf sum is unique, and from rank 3 no sum of two leaves is."""
+    H = Subgroup.generated_by(r, [1 << i for i in range(r - 1)])
+    verts = (0, *H.coset(1 << (r - 1)).elements())
+    n = len(verts)
+    edges = tuple((0, j) for j in range(1, n))
+    adj = (((1 << n) - 1) ^ 1, *([1] * (n - 1)))
+    return UrGraph(r, verts, adj, edges, verts[1:])
+
+
+def test_matching_is_fast_on_rank_sixteen_star_and_edgeless_set():
+    for r in (3, 4, 5):
+        G = star_graph(r)
+        assert G == build(ElementSet.from_elements(r, G.vertices))
+        assert matching_number(G).size == oracle_matching(G.n, G.edges) == 1
+    H = Subgroup.generated_by(16, [1 << i for i in range(15)])
+    edgeless = build(H.coset(1 << 15))
+    assert edgeless.n == 1 << 15 and not edgeless.edges
+    for G, want in ((star_graph(16), ((0, 1),)), (edgeless, ())):
+        start = time.perf_counter()
+        m = matching_number(G)
+        assert time.perf_counter() - start < 5.0  # the quadratic search took 9-30 s
+        assert m.edges == want
 
 
 def test_matching_certificate_sorted():
