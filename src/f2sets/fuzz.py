@@ -73,11 +73,13 @@ def fuzz_kneser(max_rank: int, iters: int, seed: int) -> dict:
 
 
 def fuzz_s2(max_rank: int, iters: int, seed: int) -> dict:
+    if max_rank < 2:
+        raise ValueError(f"fuzz s2 draws pairs of rank 2 and up: --r must be >= 2, not {max_rank}")
     rng = Xorshift64(seed or 1)
     violations = []
     nontrivial = 0
     for _ in range(iters):
-        r = 2 + rng.randrange(max(1, max_rank - 1))
+        r = 2 + rng.randrange(max_rank - 1)
         while True:
             B = _random_set(rng, r) if rng.random() < 0.6 else _random_structured(rng, r)
             C = _random_set(rng, r) if rng.random() < 0.6 else _random_structured(rng, r)
@@ -146,9 +148,11 @@ def fuzz_alldisjoint(max_rank: int, iters: int, seed: int) -> dict:
 
 
 def fuzz_php(max_rank: int, iters: int, seed: int) -> dict:
+    """Draws until `iters` checks have run (kappa = 1 always qualifies)."""
     rng = Xorshift64(seed or 1)
     violations = []
-    for _ in range(iters):
+    done = 0
+    while done < iters:
         r = 1 + rng.randrange(max_rank)
         n = 1 << r
         kappa = 1 + rng.randrange(4)
@@ -162,9 +166,10 @@ def fuzz_php(max_rank: int, iters: int, seed: int) -> dict:
         rng.shuffle(perm)
         C = ElementSet.from_elements(r, perm[:size_c])
         rep = php_covered(B, C, kappa)
+        done += 1
         if not rep:
             violations.append({"r": r, "kappa": kappa, "witness": rep.witness})
-    return {"lemma": "php-cover", "iterations": iters, "violations": violations}
+    return {"lemma": "php-cover", "iterations": done, "violations": violations}
 
 
 def _embedded_coset_family(r: int, kappa: int) -> list[ElementSet]:

@@ -43,7 +43,7 @@ from .core import (
 from .generators import random_sum_free
 from .rng import Xorshift64
 from .sumsets import (
-    _removals_losing,
+    _saturating_removable,
     _unique_nonzero,
     is_maximal_sum_free,
     is_minimal_saturating,
@@ -467,7 +467,7 @@ class MinimalSaturatingProfile:
     sums. Adding x > max P adds the sums T = x + P; they are distinct, so each
     gains one pair: U' = (U ∖ T) ∪ (T ∖ 2P) and 2P' = 2P ∪ T ∪ {0}. A covering
     P' is pruned when (P' ∩ 2P') ∖ (P' + (U' ∖ P')) is non-empty, the removal
-    rule of `sumsets` (docs/search-pruning.md §2).
+    rule of `sumsets._saturating_removable` (docs/search-pruning.md §2).
     """
 
     def root(self, r: int):
@@ -479,11 +479,8 @@ class MinimalSaturatingProfile:
         unique = (unique & ~t) | (t & ~two)
         two |= t | 1
         bits |= 1 << x
-        if bits | two == _full_mask(r):
-            P = ElementSet(r, bits)
-            outside = ElementSet(r, unique & ~bits)
-            if bits & two & ~_removals_losing(P, outside).bits:
-                return None
+        if bits | two == _full_mask(r) and _saturating_removable(ElementSet(r, bits), two, unique):
+            return None
         return (bits, two, unique)
 
     def accept(self, r: int, state) -> bool:
@@ -1096,8 +1093,8 @@ def find_example(
             elems = A.elements()
             rng.shuffle(elems)
             table = rep_counts(A)
-            outside = _unique_nonzero(table.counts, r).difference(A)
-            removable = bits & table.support().bits & ~_removals_losing(A, outside).bits
+            removable = _saturating_removable(A, table.support().bits,
+                                              _unique_nonzero(table.counts, r).bits)
             a = next((a for a in elems if (removable >> a) & 1), None)
             if a is None:
                 return bits

@@ -1,6 +1,6 @@
 """Structural forms of saturating and round sets: shifted-cap decompositions,
-the two shapes of large maximal sum-free sets, blocking-set duals, named
-constructions, and the per-coset census used by the two-isolated-edges analysis.
+the two shapes of large maximal sum-free sets, named constructions, blocking
+predicates read off the complementary cap, and the two-isolated-edges census.
 
 Every certificate returned here re-expands to its input bit-exactly; callers
 can round-trip any decomposition without recomputation.
@@ -9,7 +9,7 @@ can round-trip any decomposition without recomputation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Literal
 
 from .core import (
     ElementSet,
@@ -23,9 +23,8 @@ from .core import (
 from .sumsets import (
     PredicateReport,
     is_maximal_sum_free,
-    is_round,
     is_sum_free,
-    unique_sums,
+    two_a,
 )
 from . import urgraph
 
@@ -141,7 +140,7 @@ def classify_max_sumfree(S: ElementSet) -> SumfreeClass:
 
 def construct_coset(r: int, g: int | None = None) -> ElementSet:
     """The nonzero coset g + H of the index-2 subgroup H spanned by the first
-    r - 1 unit vectors: minimal saturating."""
+    r - 1 unit vectors, g by default its least point: minimal saturating."""
     H = Subgroup.generated_by(r, (1 << i for i in range(r - 1)))
     if g is None:
         g = H.members.complement().min_element()
@@ -151,14 +150,11 @@ def construct_coset(r: int, g: int | None = None) -> ElementSet:
 
 
 def construct_punctured(r: int, g: int | None = None) -> ElementSet:
-    """{g} together with the nonzero part of the index-2 subgroup H spanned by
-    the first r - 1 unit vectors: minimal saturating."""
-    H = Subgroup.generated_by(r, (1 << i for i in range(r - 1)))
-    if g is None:
-        g = H.members.complement().min_element()
-    if g in H.members:
-        raise ValueError("g must lie outside the subgroup")
-    return H.members.nonzero().with_element(g)
+    """{g} together with the nonzero part of the subgroup H of
+    `construct_coset`, which is g + (g + H): minimal saturating."""
+    coset = construct_coset(r, g)
+    g = coset.min_element() if g is None else g
+    return coset.translate(g).nonzero().with_element(g)
 
 
 def construct_shifted_cap(base: ElementSet, shift: int) -> ElementSet:
@@ -203,39 +199,34 @@ def construct_subgroup_union(r: int, first: Subgroup | None = None, second: Subg
     return first.members.union(second.members).nonzero()
 
 
-# -- blocking sets (points are nonzero; a line is a triple {x, y, x+y})
-
-
-def lines(r: int) -> Iterator[tuple[int, int, int]]:
-    """All lines as ordered triples x < y < x + y."""
-    n = 1 << r
-    for x in range(1, n):
-        for y in range(x + 1, n):
-            z = x ^ y
-            if z > y:
-                yield (x, y, z)
+# -- blocking sets (points are nonzero; a line is a triple {x, y, x+y}). B meets
+# every line iff the other nonzero points C hold none: iff C is a cap (sum-free).
 
 
 def is_blocking(B: ElementSet) -> PredicateReport:
-    """Every line meets B. Checked by direct line scan."""
+    """Every line meets B: C = complement of B ∪ {0} is sum-free. A false
+    verdict names the first line x < y < x + y avoiding B. Its least point
+    is d = min(C ∩ 2C), and its middle point the first a in C with a + d in
+    C, which is the triple `is_sum_free` reports."""
     if 0 in B:
         raise ValueError("blocking sets live on the nonzero points")
-    bits = B.bits
-    for x, y, z in lines(B.rank):
-        if not ((bits >> x) | (bits >> y) | (bits >> z)) & 1:
-            return PredicateReport("blocking", False, witness={"line": [x, y, z]})
-    return PredicateReport("blocking", True)
+    sf = is_sum_free(B.complement().nonzero())
+    if sf:
+        return PredicateReport("blocking", True)
+    return PredicateReport("blocking", False, witness={"line": sorted(sf.witness["triple"])})
 
 
 def is_minimal_blocking(B: ElementSet) -> PredicateReport:
-    """Blocking, and every point is on some line met only at that point."""
+    """Blocking, and every point is on some line met only at that point. B ∖ {b}
+    still blocks iff C ∪ {b} is sum-free, iff b is not in 2C."""
     base = is_blocking(B)
     if not base:
         return PredicateReport("minimal-blocking", False, witness=base.witness,
                                detail="not blocking")
-    for b in B:
-        if is_blocking(B.without_element(b)):
-            return PredicateReport("minimal-blocking", False, witness={"removable": b})
+    removable = B.difference(two_a(B.complement().nonzero()))
+    if len(removable):
+        return PredicateReport("minimal-blocking", False,
+                               witness={"removable": removable.min_element()})
     return PredicateReport("minimal-blocking", True)
 
 
@@ -370,9 +361,10 @@ def coset_census(
         raise CensusError("census needs rank >= 3")
     if 0 not in A:
         raise CensusError("the set must contain 0")
-    if not is_round(A):
-        raise CensusError("the set must be round")
+    # Round iff no vertex is isolated (a singleton is round); D(A) is the edge labels.
     G = urgraph.build(A)
+    if len(A) > 1 and not all(G.adj):
+        raise CensusError("the set must be round")
     iso = urgraph.isolated_edges(G)
     if len(iso) < 2:
         raise CensusError("need at least two isolated edges")
@@ -401,7 +393,7 @@ def coset_census(
     if A.intersect(L.members) != ElementSet.from_elements(r, [0, a1, a2, a3]):
         raise CensusError("A must meet the edge span exactly in {0, a1, a2, a3}")
 
-    D = unique_sums(A)
+    D = ElementSet.from_elements(r, G.edge_labels)
     view = QuotientView(L)
     km_view = QuotientView(K_minus)
     kp_view = QuotientView(K_plus)

@@ -50,9 +50,11 @@ when its only pair contains a, and for |A| >= 2
     2(A ∖ {a}) = 2A ∖ {d in U(A) : a + d in A}.
 
 So for watched points W inside U(A), the elements whose removal loses a point
-of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets, minimal
-saturating sets, the search profile and the `find_example` trimmer use this
-set form. Per element, a is in A + U(A) iff it has a unique partner, some
+of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets use this
+set form directly. For saturating sets W = U(A) ∖ A, and the one helper
+`_saturating_removable` gives the removable elements to
+`is_minimal_saturating`, the search profile and the `find_example` trimmer.
+Per element, a is in A + U(A) iff it has a unique partner, some
 b != a in A with N(a + b) = 2. `_unique_partners` counts them, and
 `_drop_partnered` updates the counts on each removal, which is how
 `generators.trim_to_round` finds the redundant elements (count 0) without a
@@ -286,6 +288,14 @@ def _removals_losing(A: ElementSet, W: ElementSet) -> ElementSet:
     return A.intersect(sumset(A, W))
 
 
+def _saturating_removable(A: ElementSet, two: int, unique: int) -> int:
+    """The elements of a saturating A (0 not in A) whose removal keeps it
+    saturating, as bits, from 2A and U(A) as bits: a stays covered iff a is
+    in 2A (no pair for a involves a), and by the removal rule no point
+    outside A loses its last pair iff a is not in A + (U(A) ∖ A)."""
+    return A.bits & two & ~_removals_losing(A, ElementSet(A.rank, unique & ~A.bits)).bits
+
+
 def _unique_partners(idx: np.ndarray, ind: np.ndarray, W: np.ndarray) -> np.ndarray:
     """The per-element form of `_removals_losing`: for each x of A (`idx`,
     with 0/1 indicator `ind`), the number of w in W with x + w in A. Rows
@@ -374,13 +384,8 @@ def is_saturating(A: ElementSet) -> PredicateReport:
 
 
 def is_minimal_saturating(A: ElementSet) -> PredicateReport:
-    """Minimal saturating: saturating, and removing any single element breaks it.
-
-    Removing a from a saturating A keeps it saturating iff a stays covered
-    (a in 2A: 0 is not in A, so no pair for a involves a) and no point
-    outside A loses its last pair, which by the removal rule leaves
-    (A ∩ 2A) ∖ (A + (U(A) ∖ A)) as the removable elements.
-    """
+    """Minimal saturating: saturating, and no element is removable in the
+    sense of `_saturating_removable`."""
     if 0 in A:
         raise ValueError("saturating sets live in the nonzero part of the group")
     table = rep_counts(A)
@@ -389,11 +394,10 @@ def is_minimal_saturating(A: ElementSet) -> PredicateReport:
     if len(uncovered):
         return PredicateReport("minimal-saturating", False, detail="not saturating",
                                witness={"uncovered": uncovered.min_element()})
-    outside = _unique_nonzero(table.counts, A.rank).difference(A)
-    removable = A.intersect(two).difference(_removals_losing(A, outside))
-    if len(removable):
+    removable = _saturating_removable(A, two.bits, _unique_nonzero(table.counts, A.rank).bits)
+    if removable:
         return PredicateReport("minimal-saturating", False,
-                               witness={"removable": removable.min_element()})
+                               witness={"removable": ElementSet(A.rank, removable).min_element()})
     return PredicateReport("minimal-saturating", True)
 
 

@@ -106,6 +106,37 @@ def oracle_is_minimal_saturating(A: ElementSet) -> bool:
     return True
 
 
+def oracle_lines(r: int):
+    """All lines as ordered triples x < y < x + y."""
+    n = 1 << r
+    for x in range(1, n):
+        for y in range(x + 1, n):
+            z = x ^ y
+            if z > y:
+                yield (x, y, z)
+
+
+def oracle_blocking_reports(B: ElementSet) -> tuple[dict, dict]:
+    """The JSON reports of `blocking` and `minimal-blocking` by line scan: the
+    first line missing B, then the first point whose removal still blocks."""
+    def missed(bits: int):
+        return next(([x, y, z] for x, y, z in oracle_lines(B.rank)
+                     if not ((bits >> x) | (bits >> y) | (bits >> z)) & 1), None)
+
+    line = missed(B.bits)
+    if line is not None:
+        return ({"predicate": "blocking", "verdict": False, "witness": {"line": line}},
+                {"predicate": "minimal-blocking", "verdict": False, "witness": {"line": line},
+                 "detail": "not blocking"})
+    minimal = {"predicate": "minimal-blocking", "verdict": True}
+    for b in B.elements():
+        if missed(B.bits & ~(1 << b)) is None:
+            minimal = {"predicate": "minimal-blocking", "verdict": False,
+                       "witness": {"removable": b}}
+            break
+    return {"predicate": "blocking", "verdict": True}, minimal
+
+
 def oracle_matching(n: int, edges) -> int:
     """Exhaustive search over edge subsets; fine for |E| <= 20."""
     edges = list(edges)

@@ -279,6 +279,60 @@ def test_fuzz_cli():
     assert payload["checked_sets"] == 8 + 6
 
 
+def test_fuzz_php_runs_every_check_it_reports(monkeypatch):
+    import f2sets.fuzz as fuzz
+
+    calls = []
+    real = fuzz.php_covered
+    monkeypatch.setattr(fuzz, "php_covered", lambda *a: calls.append(a) or real(*a))
+    for r in ("1", "8"):
+        calls.clear()
+        code, payload, _ = run_cli(["fuzz", "php", "--r", r, "--iters", "200", "--seed", "7"])
+        assert code == 0 and payload["ok"] and payload["lemma"] == "php-cover"
+        assert payload["iterations"] == len(calls) == 200
+
+
+def test_fuzz_s2_draws_no_pair_above_the_requested_rank(monkeypatch):
+    import f2sets.fuzz as fuzz
+
+    code, payload, err = run_cli(["fuzz", "s2", "--r", "1", "--iters", "5"])
+    assert code == 2 and payload is None and "--r" in err
+    ranks = set()
+    real = fuzz.s2_bound_check
+    monkeypatch.setattr(fuzz, "s2_bound_check", lambda B, C: ranks.add(B.rank) or real(B, C))
+    code, payload, _ = run_cli(["fuzz", "s2", "--r", "2", "--iters", "50", "--seed", "3"])
+    assert code == 0 and payload["ok"] and payload["iterations"] == 50
+    assert ranks == {2}
+
+
+def test_fuzz_census_cli():
+    code, payload, _ = run_cli(["fuzz", "census", "--r", "6", "--iters", "4", "--seed", "3"])
+    assert code == 0 and payload["ok"]
+    assert (payload["suite"], payload["r"], payload["sets"]) == ("census", 6, 4)
+    # The census fixtures are linear images of base sets at ranks 6 and 7 only.
+    code, payload, err = run_cli(["fuzz", "census", "--r", "5", "--iters", "4"])
+    assert code == 2 and payload is None
+    assert "no census bases at rank 5" in err
+
+
+def test_tangent_cli_equals_cap_replacement():
+    # B is the blocking complement of a complete cap S; seen from s in S its
+    # tangent points are the replaced cap.
+    five_point = [b ^ h for b in (1, 2, 4, 8, 15) for h in (0, 16)]
+    for S in (sorted(five_point), list(range(16, 32))):
+        B = [x for x in range(1, 32) if x not in S]
+        for s in S[:3]:
+            code, tangent, _ = run_cli(["tangent", "--set", set_arg(5, B), "--shift", str(s)])
+            assert code == 0
+            code, replaced, _ = run_cli(["construct", "cap-replacement",
+                                         "--set", set_arg(5, S), "--shift", str(s)])
+            assert code == 0
+            assert (tangent["set"], tangent["size"]) == (replaced["set"], replaced["size"])
+        code, payload, err = run_cli(["tangent", "--set", set_arg(5, B), "--shift", str(B[0])])
+        assert code == 2 and payload is None
+        assert "must avoid B" in err
+
+
 def test_flags_a_command_does_not_read_exit_two(tmp_path):
     S = set_arg(3, [1, 2, 4])
     tsv = tmp_path / "spec.tsv"

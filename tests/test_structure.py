@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import time
 
 import pytest
 
@@ -10,7 +13,11 @@ from f2sets import (
     is_sum_free,
     unique_sums,
 )
-from f2sets.generators import census_fixture_suite, round_sets_with_isolated_edges
+from f2sets.generators import (
+    census_fixture_suite,
+    random_sum_free,
+    round_sets_with_isolated_edges,
+)
 from f2sets.structure import (
     CensusError,
     classify_max_sumfree,
@@ -24,10 +31,13 @@ from f2sets.structure import (
     decompose_saturating,
     is_blocking,
     is_minimal_blocking,
-    lines,
     tangent_construction,
 )
+from f2sets.rng import Xorshift64
+from f2sets import sumsets, urgraph
 from f2sets.urgraph import build, spanning_star_centers
+
+from conftest import oracle_blocking_reports, oracle_lines
 
 
 def els(r, elements):
@@ -211,9 +221,9 @@ def test_construct_subgroup_union_size():
 
 
 def test_lines_enumeration():
-    got = list(lines(2))
+    got = list(oracle_lines(2))
     assert got == [(1, 2, 3)]
-    got3 = list(lines(3))
+    got3 = list(oracle_lines(3))
     assert len(got3) == 7
     for x, y, z in got3:
         assert x < y < z and x ^ y ^ z == 0
@@ -226,6 +236,39 @@ def test_blocking_examples():
     assert not rep and "line" in rep.witness
     with pytest.raises(ValueError):
         is_blocking(els(3, [0, 1]))
+
+
+def test_blocking_reports_match_the_line_scan():
+    # Every set at ranks 1-4, then seeded sets at ranks 5-7: random ones, and
+    # complements of random complete caps with at most one point toggled, so
+    # that blocking and minimal-blocking verdicts of both kinds occur.
+    sets = [ElementSet(r, mask << 1) for r in range(1, 5) for mask in range(1 << ((1 << r) - 1))]
+    rnd = random.Random(16)
+    for r in (5, 6, 7):
+        for k in range(12):
+            if k % 3 == 0:
+                bits = rnd.getrandbits(1 << r)
+            else:
+                bits = random_sum_free(Xorshift64(100 * r + k), r, maximal=True).complement().bits
+                for _ in range(k % 3 - 1):
+                    bits ^= 1 << rnd.randrange(1, 1 << r)
+            sets.append(ElementSet(r, bits & ~1))
+    verdicts = set()
+    for B in sets:
+        got = (is_blocking(B).to_json(), is_minimal_blocking(B).to_json())
+        assert got == oracle_blocking_reports(B), B
+        if B.rank >= 5:
+            verdicts.add((got[0]["verdict"], got[1]["verdict"]))
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_minimal_blocking_at_rank_10_is_fast():
+    # The per-point line rescan this replaced took about 29 s on a 2-vCPU
+    # host; through the complementary cap it is two sumsets.
+    B = construct_coset(10).complement().nonzero()
+    t0 = time.perf_counter()
+    assert is_minimal_blocking(B)
+    assert time.perf_counter() - t0 < 5.0
 
 
 def test_blocking_duality_random():
@@ -407,6 +450,26 @@ def test_census_identities_hold_even_below_size_threshold():
         assert census.identities_hold()
         if census.size_hypothesis:
             assert census.dg_bounds_hold
+
+
+def test_census_payloads_are_pinned(monkeypatch):
+    # The digest was recorded when roundness and D(A) each took a count
+    # table of their own; the census reads both off its graph's one table.
+    fixtures = (census_fixture_suite(6, 10, seed=2) + census_fixture_suite(7, 10, seed=2)
+                + round_sets_with_isolated_edges(6, 12, seed=5))
+    calls = []
+    real = sumsets.rep_counts
+
+    def counted(A):
+        calls.append(A)
+        return real(A)
+
+    monkeypatch.setattr(sumsets, "rep_counts", counted)
+    monkeypatch.setattr(urgraph, "rep_counts", counted)
+    payloads = [coset_census(A, first, second).to_json() for A, first, second in fixtures]
+    assert calls == [A for A, _, _ in fixtures]
+    digest = hashlib.sha256(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+    assert digest == "0cc3d28eac5186d7f8432a0db574e7848855b02270051705980ef236af2e5582"
 
 
 def test_census_json_schema():
