@@ -343,7 +343,8 @@ def cmd_fuzz(args) -> int:
         _reject_unread(args, FUZZ_HARNESSES, "iters", "seed")
         out = fuzz.fuzz_sfnotround((5, 6) if args.r is None else (args.r,))
     else:
-        out = FUZZ_HARNESSES[args.lemma](8 if args.r is None else args.r,
+        default_r = 7 if args.lemma == "census" else 8  # census bases: ranks 6 and 7
+        out = FUZZ_HARNESSES[args.lemma](default_r if args.r is None else args.r,
                                          1000 if args.iters is None else args.iters,
                                          args.seed or 0)
     out["elapsed_seconds"] = round(time.monotonic() - t0, 3)

@@ -179,10 +179,7 @@ def _embedded_coset_family(r: int, kappa: int) -> list[ElementSet]:
     Subsets of the coset g + H correspond to subsets of H, and the stabilizer
     of the coset acts on them as the affine group of H. Classes of large
     subsets are enumerated through their small complements under the affine
-    action. By the classical classification of large complete caps, every
-    sum-free set above the threshold extends into this coset family or the
-    five-point family, so together the two families cover all qualifying sets
-    up to equivalence.
+    action.
     """
     inner = r - 1
     floor = (1 << (r - 2)) + kappa
@@ -223,12 +220,15 @@ def qualifying_sum_free_sets(r: int, kappa: int) -> list[ElementSet]:
     """Sum-free sets with |S| > 2^(r-2) + kappa, at least one per linear class.
 
     Ranks 2 to 5 are enumerated directly (isomorph-free DFS over sum-free
-    sets), one representative per class. Rank 6 lists the two large-cap
-    families, whose completeness rests on the classical structure of complete
-    caps above 9 * 2^(r-5): the coset family, one set per class, then the
-    20-point five-point set and each of its one-point deletions that clears
-    the floor. The 20 deletions are one class, so at kappa = 2 the 133 sets
-    fall into 114 classes; at kappa = 3 no deletion clears the floor.
+    sets), one representative per class. At rank 6 a qualifying set has at
+    least 19 points and lies in a maximal sum-free set as large. The library's
+    own run, `spectrum maximal-sum-free --r 6`, finds exactly two such
+    classes, the 32-point coset and the 20-point five-point set
+    (docs/search-pruning.md §8). So rank 6 lists the coset family, one set
+    per class, then the five-point set and each of its one-point deletions
+    that clears the floor. The 20 deletions are one class, so at kappa = 2
+    the 133 sets fall into 114 classes; at kappa = 3 no deletion clears the
+    floor.
     """
     if not 2 <= r <= 6:
         raise ValueError(f"qualifying sets are generated at ranks 2 to 6 only, not {r}")

@@ -421,6 +421,12 @@ def _can_cover(r: int, bits: int, covered: int, room: int) -> bool:
     return False
 
 
+def _covering_reachable(self, r: int, state, room: int) -> bool:
+    """`reachable` of the profiles whose states start (A, 2A): whether a superset
+    with at most `room` more points can cover the group with A ∪ 2A."""
+    return _can_cover(r, state[0], state[0] | state[1], room)
+
+
 class SumFreeProfile:
     """Prune: the partial set must itself be sum-free. The incremental state
     carries the sumset bits; accepted sets are re-confirmed through the public
@@ -450,11 +456,7 @@ class MaximalSumFreeProfile(SumFreeProfile):
             return False
         return bool(is_maximal_sum_free(ElementSet(r, bits)))
 
-    def reachable(self, r: int, state, room: int) -> bool:
-        """Whether a superset with at most `room` more points can cover the
-        group with A ∪ 2A, as `accept` requires."""
-        bits, two = state
-        return _can_cover(r, bits, bits | two, room)
+    reachable = _covering_reachable
 
 
 class MinimalSaturatingProfile:
@@ -489,11 +491,7 @@ class MinimalSaturatingProfile:
             return False
         return bool(is_minimal_saturating(ElementSet(r, bits)))
 
-    def reachable(self, r: int, state, room: int) -> bool:
-        """Whether a superset with at most `room` more points can cover the
-        group, as `accept` requires."""
-        bits, two, _ = state
-        return _can_cover(r, bits, bits | two, room)
+    reachable = _covering_reachable
 
 
 class PlainProfile:
@@ -634,6 +632,19 @@ class _AuditLog:
             j = self.rng.randrange(self.seen)
             if j < self.capacity:
                 self.samples[j] = entry
+
+    def merge(self, other: _AuditLog) -> None:
+        """Fold in another log. Both reservoirs are even samples of their
+        prunes, so each next entry is a random one of a reservoir drawn with
+        chance proportional to its prunes not yet drawn: an even sample of all."""
+        left = [self.seen, other.seen]
+        pools = [self.samples, list(other.samples)]
+        self.samples = []
+        for _ in range(min(self.capacity, sum(left))):
+            side = int(self.rng.randrange(sum(left)) >= left[0])
+            left[side] -= 1
+            self.samples.append(pools[side].pop(self.rng.randrange(len(pools[side]))))
+        self.seen += other.seen
 
     def verify(self, predicate: str) -> dict:
         checked = 0
@@ -817,17 +828,20 @@ def _init_worker(counter) -> None:
     _run_nodes = counter
 
 
-def _subtree_worker(args: tuple) -> tuple[dict[int, list[int]], int, bool]:
+def _subtree_worker(args: tuple, audit_seed: int | None = None) -> tuple:
     """Expand one frontier node; the head already visited (and counted) it.
     The time budget runs from the head's start: the monotonic clock is
-    system-wide, so every task stops at the same deadline."""
+    system-wide, so every task stops at the same deadline. Returns the hits,
+    the node count and whether the budget ran out; with an audit seed, the
+    task's own audit log follows."""
     (r, predicate, action, size_min, size_max, node,
      max_nodes, max_seconds, started) = args
     budget = SearchBudget(max_nodes=max_nodes, max_seconds=max_seconds, started=started,
                           shared=_run_nodes)
-    walker = _Enumerator(r, predicate, action, size_min, size_max, budget, None)
+    log = None if audit_seed is None else _AuditLog(AUDIT_CAPACITY, audit_seed)
+    walker = _Enumerator(r, predicate, action, size_min, size_max, budget, log)
     walker.expand(*node)
-    return walker.hits, budget.nodes, budget.exceeded
+    return (walker.hits, budget.nodes, budget.exceeded) + ((log,) if log else ())
 
 
 def enumerate_classes(
@@ -879,13 +893,19 @@ def enumerate_classes(
         # The node count is shared from the head's count on; a task that
         # takes it past the limit reports itself exceeded.
         counter = Value("q", budget.nodes) if budget.max_nodes is not None else None
+        # Each task samples its own prunes from a seed of the run's seed and
+        # its frontier index; the head merges the logs in task order.
+        seeds = [seed + (i + 1) * 0x9E3779B97F4A7C15 if log else None for i in range(len(tasks))]
         with ProcessPoolExecutor(max_workers=threads, initializer=_init_worker,
                                  initargs=(counter,)) as pool:
-            for sub_hits, sub_nodes, sub_exceeded in pool.map(_subtree_worker, tasks):
+            for sub_hits, sub_nodes, sub_exceeded, *sub_log in pool.map(
+                    _subtree_worker, tasks, seeds):
                 budget.nodes += sub_nodes
                 budget.exceeded = budget.exceeded or sub_exceeded
                 for size, reps in sub_hits.items():
                     walker.hits.setdefault(size, []).extend(reps)
+                if log:
+                    log.merge(*sub_log)
 
     entries = [
         SpectrumEntry(size, len(reps),

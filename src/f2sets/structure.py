@@ -253,15 +253,12 @@ class CensusError(ValueError):
     """Input violates the census preconditions or an asserted coset fact."""
 
 
-_TYPE_TAGS = ("0", "1", "2-", "20", "2+", "3-", "3+", "4-", "4+")
-
-
 @dataclass(frozen=True)
 class CosetRecord:
     rep: int
     set_count: int  # |A ∩ (rep + L)|
     unique_count: int  # |D(A) ∩ (rep + L)|
-    tag: str
+    tag: str  # "0", "1", "2-", "20", "2+", "3-", "3+", "4-" or "4+"
 
 
 @dataclass(frozen=True)

@@ -20,22 +20,20 @@ Sum kernels, one per regime, all exact:
   1.7x on 20-40 us calls at ranks 5-7, and keeps every table of a
   classification run (at most 16 pairs per point) on this kernel.
   `_SPARSE_PRODUCT_LIMIT` = 2^22 caps the XOR array at 32 MB.
-- Walsh-Hadamard dense (`_cross_counts_dense`), up to rank
-  `_DENSE_MAX_RANK` = 20: N = H(Hb * Hc) / 2^r for the 0/1 tables b, c.
-  `_walsh` applies H_r as a Kronecker product of Hadamard factors of rank
-  <= `_WALSH_FACTOR_RANK` = 5, one float64 BLAS matmul each: 11-14 us at
-  rank 10, 4-5 ms at rank 18 and 17-21 ms at rank 20, against 0.13-0.15,
-  21-28 and 112-120 ms for the int64 radix-2 butterflies it replaced. Up to
-  rank 12 factor ranks 4-7 differ by at most 1.5x; from rank 13 factors of
-  rank 6-7 take up to 3x longer than rank 5, and rank 4 is 1.2-1.5x slower
-  at ranks 5, 9 and 10 but faster at ranks 15 and 20. Exact by the bound
-  in `_cross_counts_dense`.
-- Split (`_cross_counts_split`), above rank 20: both operands split on the
-  top coordinate and exact rank-(r-1) tables are added.
+- Walsh-Hadamard dense (`_cross_counts_dense`), at every rank: N =
+  H(Hb * Hc) / 2^r for the 0/1 tables b, c. `_walsh` applies H_r as a
+  Kronecker product of Hadamard factors of rank <= `_WALSH_FACTOR_RANK` =
+  5, one float64 BLAS matmul each: 11-14 us at rank 10, 4-5 ms at rank 18
+  and 17-21 ms at rank 20, against 0.13-0.15, 21-28 and 112-120 ms for the
+  int64 radix-2 butterflies it replaced. Up to rank 12 factor ranks 4-7
+  differ by at most 1.5x; from rank 13 factors of rank 6-7 take up to 3x
+  longer than rank 5, and rank 4 is 1.2-1.5x slower at ranks 5, 9 and 10
+  but faster at ranks 15 and 20. Exact by the bound in
+  `_cross_counts_dense`.
 
-Count tables (`rep_counts`, `mult_sumset` with k >= 2) take the last three
-through `_cross_counts`; `sumset` takes all four, reading the support of a
-count table outside the numpy regime.
+Count tables (`rep_counts`, `mult_sumset` with k >= 2) take the last two
+through `_cross_counts`; `sumset` takes all three, reading the support of a
+dense table outside the numpy regime.
 
 Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
@@ -85,7 +83,6 @@ from .core import (
 _PY_PAIR_LIMIT = 128
 _SPARSE_PAIRS_PER_POINT = 16
 _SPARSE_PRODUCT_LIMIT = 1 << 22
-_DENSE_MAX_RANK = 20
 _WALSH_FACTOR_RANK = 5
 
 
@@ -172,12 +169,13 @@ def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
     |B| |C|. Every partial sum of the inverse, across factors too, is a
     signed sum of some of the products, so it is bounded by
     sum_s |Hb(s) Hc(s)| <= 2^r sqrt(|B| |C|) <= 2^(2r) (Cauchy-Schwarz, and
-    Parseval: sum_s Hb(s)^2 = 2^r |B|). That is 2^40 at rank 20, and stays
-    below 2^53 up to rank 26; `_DENSE_MAX_RANK` = 20 holds one table to 2^20
-    entries (8 MB)."""
+    Parseval: sum_s Hb(s)^2 = 2^r |B|). That is 2^48 at `core.MAX_RANK` =
+    24, and the bound stays below 2^53 while MAX_RANK is at most 26.
+
+    Memory is a few 2^r tables, 128 MB each at rank 24, where a process peaks
+    near 460 MB (2 vCPUs, numpy 2.4): 100-140 MB above summing rank-20 tables
+    over the top coordinates, which took 6-8x longer."""
     r = B.rank
-    if r > _DENSE_MAX_RANK:
-        raise InternalError(f"dense kernel called at rank {r}, above {_DENSE_MAX_RANK}")
     fb = _walsh(_bits_to_mask(B.bits, r), r)
     if C.bits == B.bits:
         fb *= fb
@@ -199,23 +197,6 @@ def _cross_counts_sparse(B: ElementSet, C: ElementSet) -> np.ndarray:
     return np.bincount(_pair_xors(B, C), minlength=1 << B.rank).astype(np.int64, copy=False)
 
 
-def _cross_counts_split(B: ElementSet, C: ElementSet) -> np.ndarray:
-    """Counts above the dense kernel's exact rank. Each operand splits on the
-    top coordinate into rank r-1 halves, B = B0 | (B1 + top); the low half of
-    the table is B0*C0 + B1*C1 and the high half B0*C1 + B1*C0."""
-    h = B.rank - 1
-    width = 1 << h
-    low = (1 << width) - 1
-    b0, b1 = ElementSet(h, B.bits & low), ElementSet(h, B.bits >> width)
-    c0, c1 = ElementSet(h, C.bits & low), ElementSet(h, C.bits >> width)
-    lower = _cross_counts(b0, c0) + _cross_counts(b1, c1)
-    if B.bits == C.bits:
-        upper = 2 * _cross_counts(b0, b1)
-    else:
-        upper = _cross_counts(b0, c1) + _cross_counts(b1, c0)
-    return np.concatenate((lower, upper))
-
-
 def _takes_pairs(B: ElementSet, C: ElementSet) -> bool:
     """Whether B x C goes to the numpy pairs kernel rather than a 2^r table."""
     return len(B) * len(C) <= min(_SPARSE_PAIRS_PER_POINT << B.rank, _SPARSE_PRODUCT_LIMIT)
@@ -225,9 +206,7 @@ def _cross_counts(B: ElementSet, C: ElementSet) -> np.ndarray:
     """Ordered counts of b + c over B x C: the one count dispatch."""
     if _takes_pairs(B, C):
         return _cross_counts_sparse(B, C)
-    if B.rank <= _DENSE_MAX_RANK:
-        return _cross_counts_dense(B, C)
-    return _cross_counts_split(B, C)
+    return _cross_counts_dense(B, C)
 
 
 def rep_counts(A: ElementSet) -> RepCountTable:

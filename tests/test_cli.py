@@ -313,6 +313,11 @@ def test_fuzz_census_cli():
     code, payload, err = run_cli(["fuzz", "census", "--r", "5", "--iters", "4"])
     assert code == 2 and payload is None
     assert "no census bases at rank 5" in err
+    # Without --r it runs at rank 7, the highest rank with bases; rank 8 has none.
+    code, payload, _ = run_cli(["fuzz", "census", "--iters", "3"])
+    assert code == 0 and payload["ok"] and (payload["r"], payload["sets"]) == (7, 3)
+    code, payload, err = run_cli(["fuzz", "census", "--r", "8", "--iters", "3"])
+    assert code == 2 and "no census bases at rank 8" in err
 
 
 def test_tangent_cli_equals_cap_replacement():

@@ -212,8 +212,10 @@ def test_period_invariant_guard_raises(monkeypatch):
     # A basis vector that moves B must raise, under python -O as well.
     B = Subgroup.generated_by(4, [1, 2]).coset(4)
     monkeypatch.setattr(core, "_reduced_basis", lambda gens: tuple(8 for _ in gens))
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError) as caught:
         period(B)
+    # An internal failure is not an input error: the CLI must not exit 2 on it.
+    assert not isinstance(caught.value, ValueError)
 
 
 def test_subgroup_sum_is_the_sumset_with_the_members():

@@ -386,6 +386,44 @@ def test_audit_mode_rechecks_pruned_nodes():
     assert report.audit["pruned_total"] == 2603
 
 
+def test_threaded_audit_equals_sequential_counts():
+    # Each pool task samples its own prunes and the head merges the logs, so
+    # a threaded audit covers every prune of the tree, not the head's alone.
+    counts = lambda rep: {k: rep.audit[k] for k in ("sampled", "pruned_total", "checked",
+                                                    "failures")}
+    sequential = enumerate_classes(5, "minimal-saturating", audit=True, seed=3)
+    first, second = (enumerate_classes(5, "minimal-saturating", audit=True, seed=3, threads=2)
+                     for _ in range(2))
+    assert counts(first) == counts(sequential) == {"sampled": 1000, "pruned_total": 2603,
+                                                   "checked": 1000, "failures": 0}
+    assert first.audit == second.audit
+    assert first.nodes == sequential.nodes == 271
+
+
+def test_audit_merge_weights_entries_by_the_prunes_they_stand_for():
+    # A full reservoir of 10 entries over 90 prunes merged into one of 10
+    # over 10: a head entry should survive with chance 10/100, so one head
+    # entry in ten on average, not five.
+    kept = 0
+    for seed in range(1, 401):
+        head, task = _AuditLog(10, seed), _AuditLog(10, 1000 + seed)
+        for i in range(10):
+            head.record("head", 5, i, None)
+        for i in range(90):
+            task.record("task", 5, i, None)
+        head.merge(task)
+        assert head.seen == 100 and len(head.samples) == 10
+        kept += sum(e["kind"] == "head" for e in head.samples)
+    assert 0.8 < kept / 400 < 1.2
+    # Below capacity the merged reservoir keeps every entry of both.
+    head, task = _AuditLog(4, 1), _AuditLog(4, 2)
+    head.record("head", 5, 1, None)
+    head.merge(_AuditLog(4, 3))
+    task.record("task", 5, 2, None)
+    head.merge(task)
+    assert (head.seen, sorted(e["kind"] for e in head.samples)) == (2, ["head", "task"])
+
+
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_minimal_saturating_profile_state_matches_scratch(r):
     # Every subset of the nonzero points, reached by ascending extends: the

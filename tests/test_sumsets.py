@@ -24,12 +24,13 @@ from f2sets import (
     two_a,
     unique_sums,
 )
-from f2sets.core import InternalError, indices_to_bits
+from f2sets.core import indices_to_bits
 from f2sets.generators import sharpness_pair
 from f2sets.sumsets import (
     _PY_PAIR_LIMIT,
     _SPARSE_PAIRS_PER_POINT,
     _SPARSE_PRODUCT_LIMIT,
+    _cross_counts,
     _cross_counts_dense,
     _cross_counts_sparse,
     _takes_pairs,
@@ -137,19 +138,21 @@ def test_dense_kernel_exact_past_2_to_the_53():
     # float64 holds integers exactly below 2^53. The crude bound on the
     # inverse transform, 2^r |B| |C|, passes it at rank 18 for the full group
     # (2^54) and at rank 20 for half density (about 2^58); the kernel must
-    # still be exact there.
-    for r in (17, 18):
+    # still be exact there, and at rank 24, the top of the range, where the
+    # kernel's own bound is 2^48.
+    for r in (17, 18, 24):
         assert np.all(_cross_counts_dense(ElementSet.full(r), ElementSet.full(r)) == 1 << r)
     rng = np.random.default_rng(20)
-    r = 20
-    points = np.arange(1 << r)
-    member = rng.random(1 << r) < 0.5
-    A = ElementSet(r, indices_to_bits(np.flatnonzero(member), r))
-    counts = _cross_counts_dense(A, A)
-    assert counts.sum() == len(A) ** 2
-    assert counts[0] == len(A)
-    for d in rng.choice(1 << r, 16, replace=False).tolist():
-        assert counts[d] == np.count_nonzero(member & member[points ^ d])
+    for r in (20, 24):
+        points = np.arange(1 << r)
+        member = rng.random(1 << r) < 0.5
+        A = ElementSet(r, indices_to_bits(np.flatnonzero(member), r))
+        counts = _cross_counts_dense(A, A)
+        assert counts.sum() == len(A) ** 2
+        assert counts[0] == len(A)
+        for d in rng.choice(1 << r, 16, replace=False).tolist():
+            assert counts[d] == np.count_nonzero(member & member[points ^ d])
+        del counts
     # A coset of H and its complement: their transforms multiply to a
     # negative value on the dual of H (bar 0). b + c = d needs c = b + d
     # outside B, that is d outside H, so N(d) = |B| there and 0 on H.
@@ -167,15 +170,6 @@ def test_kernels_agree_exhaustively():
         B = ElementSet(r, rnd.getrandbits(1 << r))
         C = ElementSet(r, rnd.getrandbits(1 << r))
         assert np.array_equal(_cross_counts_dense(B, C), _cross_counts_sparse(B, C))
-
-
-def test_dense_kernel_past_its_rank_is_an_internal_error():
-    # The dispatch splits above rank 20, so reaching the guard is a bug, and
-    # the CLI must not report it as an input error (exit 2).
-    A = ElementSet.from_elements(21, [0, 5, 1 << 20])
-    with pytest.raises(InternalError) as caught:
-        _cross_counts_dense(A, A)
-    assert not isinstance(caught.value, ValueError)
 
 
 # -- representation counts
@@ -536,24 +530,24 @@ def test_sfnotround_preconditions():
 
 
 def test_split_counts_above_dense_rank_match_sparse():
-    # Rank 21 is past the dense kernel's exact range: the split path adds
-    # rank-20 products and must equal the pairwise kernel.
-    from f2sets.sumsets import _cross_counts_split
-
+    # Above rank 20 the count dispatch goes to the dense kernel, which is
+    # exact through rank 26: past the pairs limit of 2^22 its tables must
+    # equal the pairwise kernel's.
     rng = np.random.default_rng(21)
     r = 21
-    B = ElementSet.from_elements(r, rng.choice(1 << r, 300, replace=False).tolist())
-    C = ElementSet.from_elements(r, rng.choice(1 << r, 200, replace=False).tolist())
-    assert np.array_equal(_cross_counts_split(B, B), _cross_counts_sparse(B, B))
-    assert np.array_equal(_cross_counts_split(B, C), _cross_counts_sparse(B, C))
+    B = ElementSet.from_elements(r, rng.choice(1 << r, 2100, replace=False).tolist())
+    C = ElementSet.from_elements(r, rng.choice(1 << r, 2050, replace=False).tolist())
+    assert not _takes_pairs(B, B) and not _takes_pairs(B, C)
+    assert np.array_equal(_cross_counts(B, B), _cross_counts_sparse(B, B))
+    assert np.array_equal(_cross_counts(B, C), _cross_counts_sparse(B, C))
     assert np.array_equal(rep_counts(B).counts, _cross_counts_sparse(B, B))
 
 
 def test_rep_counts_half_density_rank21():
     from f2sets.core import indices_to_bits
 
-    # |A|^2 ~ 10^12 pairs: the sparse kernel cannot hold them, the split path
-    # must. N(d) = |A ∩ (A + d)| is checked directly for a few d.
+    # |A|^2 ~ 10^12 pairs: the sparse kernel cannot hold them, the dense
+    # table must. N(d) = |A ∩ (A + d)| is checked directly for a few d.
     rng = np.random.default_rng(5)
     r = 21
     member = rng.random(1 << r) < 0.5
@@ -568,8 +562,8 @@ def test_rep_counts_half_density_rank21():
 
 
 def test_sumset_above_dense_rank_matches_oracle():
-    # 2100^2 pairs exceed the pairwise kernel's limit at rank 21, where the
-    # dense kernel is not exact: the split count table must serve sumset.
+    # 2100^2 pairs exceed the pairwise kernel's limit at rank 21, so the
+    # dense count table, exact through rank 26, serves sumset.
     rng = np.random.default_rng(22)
     r = 21
     B = ElementSet.from_elements(r, rng.choice(1 << r, 2100, replace=False).tolist())
