@@ -5,17 +5,24 @@ when the smallest element in their symmetric difference lies in X. The minimal
 image under the invertible linear maps is computed by a backtracking search
 that assigns preimages slot by slot. Because slots are claimed greedily in
 ascending order, the image-side basis is always 1, 2, 4, ..., which makes
-span membership a range test and preimage lookup a bit decomposition.
+span membership a range test and preimage lookup a bit decomposition. Only
+the candidate preimages whose block of slots can tie or precede the best word
+so far are walked, read off cached translates of the set. The walk takes a
+bound (the best word so far) and seeds (known automorphisms, which skip
+sibling branches from its root on).
 
 Enumeration is orderly generation: a set is kept only if it is canonical, and
 children extend by elements above the current maximum. Removing the largest
 element of a canonical set leaves a canonical set, so the canonical sets form
-a tree and every equivalence class is visited exactly once. Profile prunes
-must be subset-closed with respect to the target family. Under a size cap,
-profiles whose accepted sets must cover the group drop children that too few
-points remain to complete. A child that an automorphism of its parent moves
-below itself is rejected without a test; the affine test computes one
-translate per orbit of the set's automorphisms.
+a tree and every equivalence class is visited exactly once. A canonical
+parent spans [0, 2^d), so children above 2^d are dropped before anything else
+runs. Profile prunes must be subset-closed with respect to the target family.
+Under a size cap, profiles whose accepted sets must cover the group drop
+children that too few points remain to complete. A child that an
+automorphism of its parent moves below itself is rejected without a test; the
+parent's automorphisms that fix the child's new point seed its test. The
+affine test walks one translate per orbit of the set's automorphisms, bounded
+by the set's own word.
 The proofs live in docs/search-pruning.md.
 """
 
@@ -90,44 +97,49 @@ class _MinImage:
     """Backtracking minimal-image engine for the linear action on nonzero sets.
 
     Slots of the image word are decided in ascending order against the best
-    word seen so far. Preimage basis vectors pair with image slots 1, 2, 4, ...
-    so the image span is always the range [0, 2^k). Images are computed only
-    when needed, from the chosen preimages and their span masks.
+    word seen so far, the incumbent: the set's own word unless a bound is
+    given. Preimage basis vectors pair with image slots 1, 2, 4, ... so the
+    image span is always the range [0, 2^k). Images are computed only when
+    needed, from the chosen preimages and their span masks. Seeds are known
+    automorphisms of the set (dicts on its points); they skip siblings from
+    the root of the walk on and are recorded first.
     """
 
-    def __init__(self, r: int, elems: tuple[int, ...]):
+    def __init__(self, r: int, elems: tuple[int, ...], seeds=()):
         self.r = r
         self.elems = elems
         self.size = len(elems)
         self.setbits = sum(1 << x for x in elems)
         self.swaps = [_swap_mask(r, i) for i in range(r)]
+        self.seeds = list(seeds)
         self.auts: list[dict[int, int]] = []
+        self.translates: dict[int, int] = {}  # v -> the set + v, as bits
 
-    def canonical_bits(self) -> int:
+    def minimal_word(self, bound=None) -> list[int]:
+        """The least of the set's linear images and `bound` (a word of the
+        same size; the set's own by default), as its ascending members."""
         if not self.elems:
-            return 0
-        self._run(testing=False)
-        bits = 0
-        for c in self.incumbent:
-            bits |= 1 << c
-        return bits
+            return []
+        self._run(False, bound)
+        return self.incumbent
 
-    def is_canonical(self) -> tuple[bool, list[int] | None]:
-        """True when no linear image precedes the set; otherwise a witness map
-        (column images) achieving a strictly smaller image. Automorphisms met
-        on the way stay in self.auts."""
+    def is_canonical(self, bound=None) -> tuple[bool, list[int] | None]:
+        """True when no linear image precedes `bound` (the set's own word by
+        default); otherwise a witness map (column images) achieving a strictly
+        smaller image. Automorphisms met on the way stay in self.auts."""
         if not self.elems:
             return True, None
         try:
-            self._run(testing=True)
+            self._run(True, bound)
         except _NotCanonical as hit:
             return False, hit.witness_cols
         return True, None
 
-    def _run(self, testing: bool) -> None:
-        self.incumbent = list(self.elems)
+    def _run(self, testing: bool, bound) -> None:
+        self.incumbent = list(self.elems if bound is None else bound)
         self.testing = testing
-        self.auts = []
+        self.auts = list(self.seeds)
+        self._version = 0  # improvements so far
         self._first_map: dict[int, int] | None = None
         self._walk((), (1,), 0, 0, 0)
 
@@ -174,8 +186,21 @@ class _MinImage:
         explored: set[int] = set()
         gens: list[dict[int, int]] = []
         scanned = 0
-        for a in self.elems:
-            if (dom >> a) & 1 or a in explored:
+        todo = setbits & ~dom
+        key = mask = None
+        while True:
+            # Keep only the candidates whose block c | q can tie or precede
+            # the incumbent's; recompute after an improvement or growth.
+            if key != (self._version, len(inc)):
+                key = (self._version, len(inc))
+                mask = self._block_mask(plist, idx, todo)
+            pool = todo & mask
+            if not pool:
+                break
+            low = pool & -pool
+            todo &= -(low << 1)
+            a = low.bit_length() - 1
+            if a in explored:
                 continue
             # coset = dom translated by a (core.translate_bits, inlined).
             coset = dom
@@ -223,6 +248,38 @@ class _MinImage:
                             explored.add(z)
                             frontier.append(z)
 
+    def _block_mask(self, plist, idx: int, todo: int) -> int:
+        """The candidate preimages a in todo for slot c = 2^k whose block can
+        tie or precede the incumbent's. With v_q the point of span(plist)
+        with image q, the block of a is c and the slots c | q with a + v_q in
+        the set. Going up q through the incumbent's members inside the block,
+        a candidate lacking one of them falls behind, and one holding a slot
+        the incumbent lacks goes ahead of it for good (docs/search-pruning.md
+        §3). The translates of the set are cached per run."""
+        inc = self.incumbent
+        c = 1 << len(plist)
+        translates = self.translates
+        vs = [0] * c
+        tied, ahead = todo, 0
+        q = 0
+        pos = idx + 1
+        while tied and pos < len(inc) and inc[pos] < 2 * c:
+            top = inc[pos] - c
+            pos += 1
+            while q < top:
+                q += 1
+                low = q & -q
+                v = vs[q] = vs[q ^ low] ^ plist[low.bit_length() - 1]
+                t = translates.get(v)
+                if t is None:
+                    t = translates[v] = translate_bits(self.setbits, v, self.r)
+                if q == top:
+                    tied &= t
+                else:
+                    ahead |= tied & t
+                    tied &= ~t
+        return tied | ahead
+
     def _improve(self, c: int, idx: int, plist) -> None:
         """Slot c beats the incumbent at position idx: a witness in test mode,
         otherwise the start of a new incumbent."""
@@ -230,6 +287,7 @@ class _MinImage:
             raise _NotCanonical(self._witness(plist))
         del self.incumbent[idx:]
         self.incumbent.append(c)
+        self._version += 1
         self._first_map = None
 
     def _completed(self, plist, doms) -> None:
@@ -259,8 +317,8 @@ class CanonicalForm:
 
 def _linear_canonical_bits(A: ElementSet) -> int:
     zero = A.bits & 1
-    engine = _MinImage(A.rank, tuple(A.nonzero().elements()))
-    return engine.canonical_bits() | zero
+    word = _MinImage(A.rank, tuple(A.nonzero().elements())).minimal_word()
+    return sum(1 << c for c in word) | zero
 
 
 class _StabiliserOrbits:
@@ -271,8 +329,9 @@ class _StabiliserOrbits:
     complement of span(P), and so still fixes P setwise. If one such map
     sends x to y < x, it sends P + {x} to P + {y}, which precedes P + {x}:
     the child P + {x} is not canonical. Any subgroup of Aut(P) gives sound
-    rejections. Maps are kept as column lists, and orbits are explored only
-    from the points asked about.
+    rejections. Maps are kept once each, as column lists and as permutations
+    of the nonzero points of P, and orbits are explored only from the points
+    asked about.
     """
 
     def __init__(self, r: int, bits: int, auts):
@@ -281,9 +340,20 @@ class _StabiliserOrbits:
         maps = {}
         for g in auts:
             img = [g.get(u, u) for u in basis]  # complement vectors lie outside P: fixed
-            maps[tuple(apply_linear(img, c) for c in inverse)] = None
+            maps.setdefault(tuple(apply_linear(img, c) for c in inverse), g)
         self.maps = list(maps)
+        self.perms = list(maps.values())
         self._least: dict[int, int] = {}
+
+    def child_seeds(self, x: int) -> list[dict[int, int]]:
+        """The maps fixing x, as automorphisms of P + {x} on its nonzero points."""
+        return [{**g, x: x} for m, g in zip(self.maps, self.perms) if apply_linear(m, x) == x]
+
+    def shift_seeds(self, g: int) -> list[dict[int, int]]:
+        """For g in P, with 0 in P: the maps fixing g, as automorphisms of the
+        translate P + g on its nonzero points (h(a + g) = h(a) + g)."""
+        return [{a ^ g: b ^ g for a, b in h.items() if a != g} | {g: g}
+                for h in self.perms if h[g] == g]
 
     def least(self, x: int) -> int:
         """The least point of the orbit of x."""
@@ -319,18 +389,20 @@ class _StabiliserOrbits:
         raise InternalError(f"{x} is the least point of its orbit")
 
 
-def _translate_forms(A: ElementSet, auts):
-    """(g, linear canonical form of A + g) for the least nonzero g of A in each
-    orbit of the group the automorphisms generate, in ascending order of g.
+def _shift_engines(A: ElementSet, auts):
+    """(g, engine on the nonzero points of A + g, seeded with the maps that
+    fix g) for the least nonzero g of A, a set holding 0, in each orbit of
+    the group the automorphisms generate, in ascending order of g.
 
     A linear h with h(A) = A sends A + g to A + h(g), so translates by points
-    of one orbit share their linear canonical form. Any subgroup of Aut(A)
-    is sound; missing automorphisms only leave more translates to compute.
+    of one orbit are linear images of each other. Any subgroup of Aut(A)
+    is sound; missing automorphisms only leave more translates to walk.
     """
     orbits = _StabiliserOrbits(A.rank, A.bits, auts)
     for g in A.nonzero():
         if orbits.least(g) == g:
-            yield g, _linear_canonical_bits(A.translate(g))
+            moved = A.translate(g).nonzero()
+            yield g, _MinImage(A.rank, tuple(moved.elements()), orbits.shift_seeds(g))
 
 
 def _affine_canonical_bits(A: ElementSet) -> int:
@@ -339,11 +411,11 @@ def _affine_canonical_bits(A: ElementSet) -> int:
     # The translates by points of A are those of A0 = A + min(A), which holds 0.
     A0 = A.translate(A.min_element())
     engine = _MinImage(A.rank, tuple(A0.nonzero().elements()))
-    best = engine.canonical_bits() | 1
-    for _, cand in _translate_forms(A0, engine.auts):
-        if _word_less(cand, best):
-            best = cand
-    return best
+    best = engine.minimal_word()
+    # Each translate's walk is bounded by the best form so far.
+    for _, shifted in _shift_engines(A0, engine.auts):
+        best = shifted.minimal_word(best)
+    return sum(1 << c for c in best) | 1
 
 
 def canonical_form(A: ElementSet, action: Action = "linear", *,
@@ -366,25 +438,29 @@ def canonical_form(A: ElementSet, action: Action = "linear", *,
     raise ValueError(f"unknown action {action!r}")
 
 
-def _is_canonical(A: ElementSet, action: Action) -> tuple[bool, dict | None, list]:
+def _is_canonical(A: ElementSet, action: Action,
+                  seeds=()) -> tuple[bool, dict | None, list]:
     """Canonicity test: the verdict, a verifiable rejection certificate, and
     the automorphisms of A (linear maps fixing 0) that the test recorded;
-    a rejection returns none."""
+    a rejection returns none. Seeds are known automorphisms of A, as dicts
+    on its nonzero points; they are recorded first."""
     if action == "none" or (action == "affine" and len(A) == 0):
         return True, None, []
     if action not in ("linear", "affine"):
         raise ValueError(f"unknown action {action!r}")
     if action == "affine" and 0 not in A:
         return False, {"kind": "affine", "shift": A.min_element(), "cols": None}, []
-    engine = _MinImage(A.rank, tuple(A.nonzero().elements()))
+    engine = _MinImage(A.rank, tuple(A.nonzero().elements()), seeds)
     ok, cols = engine.is_canonical()
     if not ok:
         cert = ({"kind": "linear", "cols": cols} if action == "linear"
                 else {"kind": "affine", "shift": 0, "cols": cols})
         return False, cert, []
     if action == "affine":
-        for g, cand in _translate_forms(A, engine.auts):
-            if _word_less(cand, A.bits):
+        # Each translate is walked against A's own word: no image below it
+        # may exist, so the walk stops at the first one.
+        for g, shifted in _shift_engines(A, engine.auts):
+            if not shifted.is_canonical(engine.elems)[0]:
                 return False, {"kind": "affine", "shift": g, "cols": None}, []
     return True, None, engine.auts
 
@@ -655,7 +731,7 @@ class _AuditLog:
             kind = entry["kind"]
             if kind == "profile":
                 ok = _recheck_profile_prune(predicate, A)
-            elif kind == "canonical":
+            elif kind in ("canonical", "span"):
                 ok = _recheck_canonical_prune(A, entry["extra"])
             elif kind == "cap":
                 ok = _recheck_cap_drop(predicate, A, entry["extra"])
@@ -793,7 +869,11 @@ class _Enumerator:
         reachable = self._reachable
         if reachable is not None:
             room = self.size_max - bits.bit_count() - 1
-        for x in range(last + 1, self.n):
+        # The node is canonical, so its nonzero points span [0, 2^d): a child
+        # above 2^d is not (docs/search-pruning.md §9).
+        dim = max(bits.bit_length() - 1, 0).bit_length()
+        end = self.n if self.action == "none" else min(self.n, (1 << dim) + 1)
+        for x in range(last + 1, end):
             state2 = self.profile.extend(self.r, state, x)
             child_bits = bits | (1 << x)
             if state2 is None:
@@ -810,7 +890,10 @@ class _Enumerator:
                                     {"kind": "linear", "cols": orbits.witness(x),
                                      "rule": "orbit"})
                 continue
-            ok, cert, child_auts = _is_canonical(ElementSet(self.r, child_bits), self.action)
+            # The parent's automorphisms that fix x are automorphisms of the child.
+            seeds = orbits.child_seeds(x) if orbits is not None else ()
+            ok, cert, child_auts = _is_canonical(ElementSet(self.r, child_bits),
+                                                 self.action, seeds)
             if not ok:
                 if self.log:
                     self.log.record("canonical", self.r, child_bits, cert)
@@ -818,6 +901,12 @@ class _Enumerator:
             self._visit(child_bits, state2, x, child_auts)
             if self.budget.exceeded:
                 return
+        if self.log:
+            for x in range(max(last + 1, end), self.n):
+                # Fix span(P), send x to 2^d, complete by the unit vectors.
+                cols = _basis_and_inverse([*(1 << i for i in range(dim)), x], self.r)[1]
+                self.log.record("span", self.r, bits | (1 << x),
+                                {"kind": "linear", "cols": cols})
 
 
 _run_nodes = None  # in a pool worker under a node limit: the run's node count

@@ -450,3 +450,32 @@ def test_version_is_computed_only_for_the_flag(monkeypatch):
     with redirect_stdout(out):
         assert main(["--version"]) == 0
     assert out.getvalue() == "9.9.9+test\n"
+
+
+# SHA-1 of the JSON payloads of the five commands of the `classify`
+# benchmark workload, with `elapsed_seconds` dropped, recorded before the
+# canonicity engine took seeds, block masks and the span rule.
+CLASSIFY_PAYLOADS_SHA1 = "ab7fad9a973e25f368c726eed3a03051cacb9064"
+
+
+def test_classify_workload_payloads_are_pinned():
+    import hashlib
+
+    commands = [
+        ["verify", "classification", "--r", "4", "--threshold", "paper"],
+        ["verify", "classification", "--r", "5", "--threshold", "paper", "--audit",
+         "--seed", "7"],
+        ["verify", "factdt", "--r", "5"],
+        ["fuzz", "sfnotround"],
+        ["enumerate", "minimal-saturating", "--r", "6", "--size-max", "13"],
+    ]
+    payloads = []
+    for argv in commands:
+        code, payload, _ = run_cli(argv)
+        assert code == 0, argv
+        payload.pop("elapsed_seconds", None)
+        payloads.append(payload)
+    assert payloads[1]["nodes"] == 271 and payloads[1]["audit"]["pruned_total"] == 2603
+    assert payloads[1]["audit"]["failures"] == 0
+    digest = hashlib.sha1(json.dumps(payloads, sort_keys=True).encode()).hexdigest()
+    assert digest == CLASSIFY_PAYLOADS_SHA1

@@ -726,3 +726,155 @@ def test_round_property_check_outputs_are_pinned(monkeypatch):
     assert sum(o.get("matching", 0) for o in outs) == 2679
     digest = hashlib.sha256(json.dumps(outs, sort_keys=True).encode()).hexdigest()
     assert digest == "e81c29d95163dadd18168106e190e1fc665e1573b06a65459be81128a8dcee33"
+
+
+# -- seeds, the block mask and the span rule
+
+
+def _expand_tests(monkeypatch, r, predicate):
+    """(child set, seeds, verdict, recorded maps) of every test `expand` runs."""
+    import f2sets.search as search
+
+    calls = []
+    real = search._is_canonical
+
+    def recording(A, action, seeds=()):
+        ok, cert, auts = real(A, action, seeds)
+        calls.append((A, list(seeds), ok, auts))
+        return ok, cert, auts
+
+    monkeypatch.setattr(search, "_is_canonical", recording)
+    enumerate_classes(r, predicate, action="linear")
+    monkeypatch.undo()
+    return calls
+
+
+def _unseeded_unmasked(monkeypatch, A):
+    monkeypatch.setattr(_MinImage, "_block_mask", lambda self, plist, idx, todo: todo)
+    try:
+        return _is_canonical(A, "linear")[0]
+    finally:
+        monkeypatch.undo()
+
+
+def _is_linear_automorphism(A, g):
+    """Whether the dict g on the nonzero points of A is the restriction of an
+    invertible linear map that fixes A setwise."""
+    points = set(A.nonzero().elements())
+    if set(g) != points or {g[x] for x in points} != points:
+        return False
+    image = {0: 0}  # span of the points seen so far -> image under g
+    for p in sorted(points):
+        if p not in image:
+            image.update({v ^ p: w ^ g[p] for v, w in list(image.items())})
+    return all(image[p] == g[p] for p in points) and len(set(image.values())) == len(image)
+
+
+@pytest.mark.parametrize("r, predicate", [(4, "any"), (5, "minimal-saturating")])
+def test_seeded_masked_verdicts_match_the_plain_engine(monkeypatch, gl4, r, predicate):
+    calls = _expand_tests(monkeypatch, r, predicate)
+    assert sum(bool(seeds) for _, seeds, _, _ in calls) > 10
+    minima = _orbit_minima(4, gl4, [A.bits for A, *_ in calls]) if r == 4 else None
+    for i, (A, seeds, ok, auts) in enumerate(calls):
+        assert ok == _unseeded_unmasked(monkeypatch, A), A.elements()
+        if minima is not None:
+            assert ok == (A.bits == minima[i]), A.elements()
+        # Every recorded map, seeds included, maps the set onto itself.
+        assert all(_is_linear_automorphism(A, g) for g in seeds)
+        assert all(_is_linear_automorphism(A, g) for g in auts)
+        assert auts[:len(seeds)] == seeds or not ok
+
+
+def test_translate_walks_match_the_plain_engine(monkeypatch):
+    # The affine test walks each translate against the set's own word, seeded
+    # with the maps that fix the shift, and the affine form walks it against
+    # the best form so far. At rank 5, past the brute-force oracles, both
+    # agree with the least unmasked linear form over all translates.
+    rnd = random.Random(19)
+    sets = [ElementSet(5, sum(1 << e for e in rnd.sample(range(32), rnd.randint(3, 9))))
+            for _ in range(40)]
+    forms = [canonical_form(A, "affine").set for A in sets]
+    monkeypatch.setattr(_MinImage, "_block_mask", lambda self, plist, idx, todo: todo)
+    for A, form in zip(sets, forms):
+        best = None
+        for g in A:
+            cand = canonical_form(A.translate(g), "linear", allow_zero=True).set.bits
+            if best is None or _word_less(cand, best):
+                best = cand
+        assert form.bits == best
+    monkeypatch.undo()
+    for A, form in zip(sets, forms):
+        assert _is_canonical(form, "affine")[0]
+        assert _is_canonical(A, "affine")[0] == (A == form)
+
+
+class _CountingProfile:
+    """Keeps every set and records each extend call as (parent bits, x)."""
+
+    def __init__(self):
+        self.calls = []
+
+    def root(self, r):
+        return 0
+
+    def extend(self, r, state, x):
+        self.calls.append((state, x))
+        return state | (1 << x)
+
+    def accept(self, r, state):
+        return True
+
+
+@pytest.mark.parametrize("r, action", [(4, "linear"), (3, "affine")])
+def test_span_rule_runs_before_the_profile(r, action):
+    log = _AuditLog(10**6, 9)
+    walker = _Enumerator(r, "any", action, 0, None, SearchBudget(), log)
+    walker.profile = stub = _CountingProfile()
+    walker.run()
+    assert stub.calls
+    for bits, x in stub.calls:
+        dim = span(ElementSet(r, bits & ~1)).dim
+        assert x <= 1 << dim, (bits, x)
+    # Every child of a visited node either reaches the profile or is a span
+    # prune: the rule moves prunes, it adds and loses none.
+    spans = [e for e in log.samples if e["kind"] == "span"]
+    assert spans
+    assert log.seen == len(spans) + sum(e["kind"] == "canonical" for e in log.samples)
+    tried = len(stub.calls) + len(spans)
+    start = walker.start_element()
+    nodes = {b: b.bit_length() - 1 for reps in walker.hits.values() for b in reps if b}
+    nodes[0] = start - 1
+    assert tried == sum((1 << r) - 1 - last for last in nodes.values())
+
+
+def test_span_entries_recheck_and_fix_the_parent():
+    report = enumerate_classes(5, "minimal-saturating", action="linear", audit=True, seed=4)
+    assert report.audit["failures"] == 0
+    log = _AuditLog(10**6, 9)
+    _Enumerator(5, "minimal-saturating", "linear", 0, None, SearchBudget(), log).run()
+    spans = [e for e in log.samples if e["kind"] == "span"]
+    assert spans
+    for e in spans:
+        A = ElementSet(5, e["bits"])
+        assert _recheck_canonical_prune(A, e["extra"])
+        top = e["bits"].bit_length() - 1
+        parent = e["bits"] ^ (1 << top)
+        dim = span(ElementSet(5, parent)).dim
+        cols = e["extra"]["cols"]
+        assert all(apply_map(cols, 1 << i) == 1 << i for i in range(dim))
+        assert apply_map(cols, top) == 1 << dim < top
+
+
+def test_forged_span_entry_is_reported():
+    A = els(5, [1, 2, 4, 8, 16, 31])
+    identity = [1 << i for i in range(5)]
+    singular = [1, 2, 4, 8, 8]
+    forged = _AuditLog(10, 1)
+    forged.record("span", 5, A.bits, {"kind": "linear", "cols": identity})
+    forged.record("span", 5, A.bits, {"kind": "linear", "cols": singular})
+    result = forged.verify("minimal-saturating")
+    assert result["failures"] == 2
+    assert result["failed_entries"] == [
+        {"kind": "span", "r": 5, "set": A.to_json(), "extra": {"kind": "linear", "cols": cols}}
+        for cols in (identity, singular)
+    ]
