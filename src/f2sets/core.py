@@ -83,12 +83,19 @@ def _swap_mask(r: int, i: int) -> int:
     return mask
 
 
+@lru_cache(maxsize=None)
+def _swap_table(r: int) -> tuple[tuple[int, int], ...]:
+    """(2^i, `_swap_mask`(r, i)) for every coordinate i below r: the swaps
+    that translate by 2^i, one per coordinate."""
+    return tuple((1 << i, _swap_mask(r, i)) for i in range(r))
+
+
 def translate_bits(bits: int, g: int, r: int) -> int:
-    """Permute a 2^r-bit set integer by XOR-ing every index with g."""
-    for i in range(r):
-        if (g >> i) & 1:
-            s = 1 << i
-            m = _swap_mask(r, i)
+    """Permute a 2^r-bit set integer by XOR-ing every index with g.
+
+    Also permutes every entry of an unsigned numpy array of such sets."""
+    for s, m in _swap_table(r):
+        if g & s:
             bits = ((bits & m) << s) | ((bits >> s) & m)
     return bits
 

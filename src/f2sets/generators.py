@@ -7,81 +7,146 @@ reproduces the exact corpus on any platform.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import numpy as np
 
 from .core import (
     ElementSet,
     Subgroup,
     _basis_and_inverse,
-    _bits_to_mask,
+    _mask_to_bits,
     apply_linear,
-    indices_to_bits,
     linear_image,
     translate_bits,
 )
-from .rng import Xorshift64
-from .sumsets import _drop_partnered, _unique_partners, rep_counts
+from .rng import _BLOCK, _MULT, Xorshift64
+from .sumsets import _removals_losing, _unique_nonzero, rep_counts
 from .structure import CensusError, coset_census
 from .urgraph import build, isolated_edges
 
 
 def random_subset(rng: Xorshift64, r: int, size: int) -> ElementSet:
+    """`size` distinct points, each drawn by randrange(2^r) until one is new.
+
+    randrange(2^r) never rejects: each draw is the low r bits of one output.
+    So the outputs are taken in blocks of states (`Xorshift64._states`), and
+    the generator is left at the state of the draw that filled the set. A
+    set of up to half the group, as the corpora ask for, takes about 1.4
+    draws a point, so a block of twice the points still missing (plus 16)
+    nearly always suffices: the 629 calls of one `roundprops` round never
+    needed a second."""
     n = 1 << r
     if size > n:
         raise ValueError("requested size exceeds the universe")
-    bits = 0
-    count = 0
-    while count < size:
-        e = rng.randrange(n)
-        if not (bits >> e) & 1:
-            bits |= 1 << e
-            count += 1
-    return ElementSet(r, bits)
+    taken = bytearray(n)
+    elems: list[int] = []
+    low = np.uint64(n - 1)
+    while len(elems) < size:
+        states = rng._states(min(_BLOCK, 2 * (size - len(elems)) + 16))
+        for i, e in enumerate(((states * np.uint64(_MULT)) & low).tolist()):
+            if not taken[e]:
+                taken[e] = 1
+                elems.append(e)
+                if len(elems) == size:
+                    rng.state = int(states[i])
+                    break
+        else:
+            rng.state = int(states[-1])
+    return ElementSet.from_elements(r, elems)
 
 
 def random_sum_free(rng: Xorshift64, r: int, *, maximal: bool = False) -> ElementSet:
     """Greedy random sum-free set; with maximal=True, grown until no element
-    can be adjoined (a complete cap)."""
+    can be adjoined (a complete cap).
+
+    The points are tried in shuffled order, with A ∪ 2A kept as a byte table
+    over the group: adjoining x marks x and x + a for every a already in A.
+    Without maximal, each point is then kept, in ascending order, when its
+    draw of `random` is below 0.7 (`sample_bits`)."""
     n = 1 << r
     order = list(range(1, n))
     rng.shuffle(order)
-    bits = 0
-    two = 1  # 2*empty set plus the forced 0
+    covered = bytearray(n)
+    elems: list[int] = []
     for x in order:
-        if (bits >> x) & 1 or (two >> x) & 1:
+        if covered[x]:
             continue
-        # x is adjoinable: not in the set, not in 2A
-        two |= translate_bits(bits, x, r) | 1
-        bits |= 1 << x
-    A = ElementSet(r, bits)
-    if maximal:
-        return A
-    # Drop a random fraction to escape maximality.
-    keep = [e for e in A if rng.random() < 0.7]
-    return ElementSet.from_elements(r, keep)
+        covered[x] = 1
+        for a in elems:
+            covered[x ^ a] = 1
+        elems.append(x)
+    elems.sort()
+    if not maximal:
+        # Drop a random fraction to escape maximality.
+        keep = rng.sample_bits(len(elems), 0.7)
+        elems = [e for i, e in enumerate(elems) if (keep >> i) & 1]
+    return ElementSet.from_elements(r, elems)
+
+
+def _drop_redundant(bits: int, planes: list[int], redundant: list[int], p: int, r: int) -> int:
+    """Remove a = redundant[p] from the set A (bits) and return A ∖ {a}.
+
+    `redundant` is the ascending list of A ∖ (A + U(A)) and `planes` hold
+    the unordered counts M(d) = N(d)/2 of the nonzero sums: bit d of plane
+    i is bit i of M(d). Both are updated in place. Each sum of
+    T = a + (A ∖ {a}) loses its pair with a, so the planes are lowered by
+    one on T through a borrow chain. No sum loses its last pair, as a has no
+    unique partner; the sums F of T left with one pair give both ends of it
+    a partner, so they leave `redundant`, and nothing else changes there
+    (the shrinking fact of the `sumsets` docstring)."""
+    a = redundant.pop(p)
+    bits ^= 1 << a
+    t = translate_bits(bits, a, r)
+    borrow = t
+    for i, plane in enumerate(planes):
+        planes[i] = plane ^ borrow
+        borrow &= ~plane
+        if not borrow:
+            break
+    fell = t & planes[0]  # F: the sums of T whose count is now 1
+    for plane in planes[1:]:
+        if not fell:
+            break
+        fell &= ~plane
+    partnered = 0
+    while fell:
+        low = fell & -fell
+        fell ^= low
+        partnered |= translate_bits(bits, low.bit_length() - 1, r)
+    partnered &= bits
+    while partnered:
+        low = partnered & -partnered
+        partnered ^= low
+        x = low.bit_length() - 1
+        i = bisect_left(redundant, x)
+        if i < len(redundant) and redundant[i] == x:
+            del redundant[i]
+    return bits
 
 
 def trim_to_round(A: ElementSet, rng: Xorshift64) -> ElementSet:
     """Remove redundant elements (removal keeps 2A) until the set is round.
 
-    By the removal rule of `sumsets` the redundant elements are those with no
-    unique partner: no b in A with a + b a unique nonzero sum. Each step draws
-    uniformly among them in ascending order. The count table, an indicator of
-    A and each element's partner count are kept and updated per removal
-    (`_drop_partnered`); the set itself is built once, at the end.
-    """
+    By the removal rule of `sumsets` the redundant elements are
+    A ∖ (A + U(A)): those with no unique partner, no b in A with a + b a
+    unique nonzero sum. Each step draws uniformly among them in ascending
+    order and removes the draw with `_drop_redundant`, which keeps the
+    redundant list and the count planes of the set so far. The list only
+    ever shrinks, and it is empty at two points (their sum is unique), so
+    the set keeps at least two."""
     r = A.rank
-    idx = A.indices()
-    counts = rep_counts(A).counts.copy()
-    ind = _bits_to_mask(A.bits, r)
-    deg = _unique_partners(idx, ind, np.flatnonzero(counts[1:] == 2) + 1)
-    while len(idx) > 1:
-        redundant = (deg == 0).nonzero()[0]
-        if not len(redundant):
-            break
-        p = int(redundant[rng.randrange(len(redundant))])
-        idx, deg = _drop_partnered(idx, deg, counts, ind, p)
-    return ElementSet(r, indices_to_bits(idx, r))
+    if len(A) <= 1:
+        return A
+    bits = A.bits
+    counts = rep_counts(A).counts
+    half = counts >> 1
+    half[0] = 0
+    planes = [_mask_to_bits((half >> i) & 1) for i in range(max(1, int(half.max()).bit_length()))]
+    redundant = A.difference(_removals_losing(A, _unique_nonzero(counts, r))).elements()
+    while redundant:
+        bits = _drop_redundant(bits, planes, redundant, rng.randrange(len(redundant)), r)
+    return ElementSet(r, bits)
 
 
 def random_round_set(rng: Xorshift64, r: int) -> ElementSet:

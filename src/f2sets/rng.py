@@ -14,7 +14,9 @@ the scalar draws return and leave the same final state. `sample_bits`
 converts each output to float64 and divides by 2^64: one rounding, the one
 Python's int division makes, then an exact power-of-two scaling. A `shuffle`
 draw that `randrange` would reject is taken by `randrange` itself, from the
-state before it.
+state before it. `generators.random_subset` reads its draws from `_states`
+too: randrange(2^r) never rejects, so each draw is the low r bits of one
+output, and it sets the state to that of the last draw it uses.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ from .core import (
     InternalError,
     _basis_and_inverse,
     _full_mask,
-    _swap_mask,
+    _swap_table,
     apply_linear,
     group_order,
     linear_image,
@@ -110,7 +110,7 @@ class _MinImage:
         self.elems = elems
         self.size = len(elems)
         self.setbits = sum(1 << x for x in elems)
-        self.swaps = [_swap_mask(r, i) for i in range(r)]
+        self.swaps = _swap_table(r)
         self.seeds = list(seeds)
         self.auts: list[dict[int, int]] = []
         self.translates: dict[int, int] = {}  # v -> the set + v, as bits
@@ -204,15 +204,9 @@ class _MinImage:
                 continue
             # coset = dom translated by a (core.translate_bits, inlined).
             coset = dom
-            i = 0
-            g = a
-            while g:
-                if g & 1:
-                    s = 1 << i
-                    m = swaps[i]
+            for s, m in swaps:
+                if a & s:
                     coset = ((coset & m) << s) | ((coset >> s) & m)
-                g >>= 1
-                i += 1
             # Members of the new coset x = a + y take images c | image(y);
             # _span_image, inlined.
             det2 = det
@@ -478,7 +472,8 @@ def _can_cover(r: int, bits: int, covered: int, room: int) -> bool:
     room' = min(room, points above the maximum) points can be added, so
     they cover at most room'·g + room'(room' - 1)/2 new points. Since
     g <= |bits| + 1, the cheaper room·|bits| + room(room + 1)/2 bound is
-    tried first, and g is only scanned for until room'·g suffices.
+    tried first, and g is only scanned for until room'·g suffices. The scan
+    steps the translate bits + y from one y to the next.
     """
     n = 1 << r
     deficit = n - covered.bit_count()
@@ -489,12 +484,21 @@ def _can_cover(r: int, bits: int, covered: int, room: int) -> bool:
     need = deficit - room * (room - 1) // 2
     if need <= 0:
         return True
+    if top == n - 1:
+        return False
     uncovered = _full_mask(r) ^ covered
-    for y in range(top + 1, n):
-        gain = (((1 << y) | translate_bits(bits, y, r)) & uncovered).bit_count()
-        if room * gain >= need:
-            return True
-    return False
+    swaps = _swap_table(r)
+    y = top + 1
+    moved = translate_bits(bits, y, r)
+    while room * (((1 << y) | moved) & uncovered).bit_count() < need:
+        if y == n - 1:
+            return False
+        # bits + (y + 1) from bits + y: y ^ (y + 1) = 2^(t + 1) - 1 flips the
+        # low t + 1 coordinates, t the trailing ones of y.
+        for s, m in swaps[: (y ^ (y + 1)).bit_length()]:
+            moved = ((moved & m) << s) | ((moved >> s) & m)
+        y += 1
+    return True
 
 
 def _covering_reachable(self, r: int, state, room: int) -> bool:

@@ -52,11 +52,22 @@ of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets use this
 set form directly. For saturating sets W = U(A) ∖ A, and the one helper
 `_saturating_removable` gives the removable elements to
 `is_minimal_saturating`, the search profile and the `find_example` trimmer.
-Per element, a is in A + U(A) iff it has a unique partner, some
-b != a in A with N(a + b) = 2. `_unique_partners` counts them, and
-`_drop_partnered` updates the counts on each removal, which is how
-`generators.trim_to_round` finds the redundant elements (count 0) without a
-sumset per step.
+Up to `_PY_PAIR_LIMIT` pairs both predicates take 2A and U(A) from one
+pass over the pairs (`_two_and_unique`) instead of a count table.
+
+Per element, a is in A + U(A) iff it has a unique partner, some b != a in
+A with N(a + b) = 2; call a redundant when it has none. Removing redundant
+elements only ever shrinks the redundant set R = A ∖ (A + U(A)):
+
+- every sum a + b of a redundant a has N(a + b) >= 4, so the removal takes
+  no sum's last pair and no element loses a unique partner;
+- a sum whose count falls from 4 to 2 gives both ends of its one remaining
+  pair a partner.
+
+`generators.trim_to_round` relies on this. It keeps R and the unordered
+counts M = N/2 as bit planes. Per removal it lowers the planes on the
+translate a + (A ∖ {a}) and drops from R both ends of the last pair of
+each sum left at M = 1.
 """
 
 from __future__ import annotations
@@ -267,46 +278,31 @@ def _removals_losing(A: ElementSet, W: ElementSet) -> ElementSet:
     return A.intersect(sumset(A, W))
 
 
+def _two_and_unique(A: ElementSet) -> tuple[int, int]:
+    """2A and U(A) as bits. While the pairs i < j fit the Python pair loop
+    (`_PY_PAIR_LIMIT`), from one pass over them: with `once` the sums met
+    at least once and `twice` those met again, 2A = once ∪ {0} and
+    U(A) = once ∖ twice. Otherwise from the count table."""
+    elems = A.elements()
+    n = len(elems)
+    if n * (n - 1) // 2 > _PY_PAIR_LIMIT:
+        counts = rep_counts(A).counts
+        return _mask_to_bits(counts != 0), _unique_nonzero(counts, A.rank).bits
+    once = twice = 0
+    for i, b in enumerate(elems):
+        for c in elems[i + 1 :]:
+            bit = 1 << (b ^ c)
+            twice |= once & bit
+            once |= bit
+    return (once | 1) if n else 0, once & ~twice
+
+
 def _saturating_removable(A: ElementSet, two: int, unique: int) -> int:
     """The elements of a saturating A (0 not in A) whose removal keeps it
     saturating, as bits, from 2A and U(A) as bits: a stays covered iff a is
     in 2A (no pair for a involves a), and by the removal rule no point
     outside A loses its last pair iff a is not in A + (U(A) ∖ A)."""
     return A.bits & two & ~_removals_losing(A, ElementSet(A.rank, unique & ~A.bits)).bits
-
-
-def _unique_partners(idx: np.ndarray, ind: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """The per-element form of `_removals_losing`: for each x of A (`idx`,
-    with 0/1 indicator `ind`), the number of w in W with x + w in A. Rows
-    are taken in blocks of at most `_SPARSE_PRODUCT_LIMIT` XORs."""
-    rows = max(1, _SPARSE_PRODUCT_LIMIT // max(1, len(W)))
-    return np.concatenate([ind[idx[start : start + rows, None] ^ W].sum(axis=1, dtype=np.int64)
-                           for start in range(0, max(1, len(idx)), rows)])
-
-
-def _drop_partnered(idx: np.ndarray, deg: np.ndarray, counts: np.ndarray, ind: np.ndarray,
-                    p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Remove a = idx[p] from A, where deg counts each element's unique
-    partners (`_unique_partners` over U(A)). Updates the count table and the
-    indicator in place, and returns idx and deg one shorter.
-
-    By the removal rule, each b loses the partner a when N(a + b) = 2. Each
-    sum whose count falls from 4 to 2 becomes unique, and both ends of its
-    one remaining pair gain a partner."""
-    a = int(idx[p])
-    idx[p:-1] = idx[p + 1 :]
-    deg[p:-1] = deg[p + 1 :]
-    idx, deg = idx[:-1], deg[:-1]
-    ind[a] = 0
-    d = idx ^ a
-    before = counts[d]
-    deg -= before == 2
-    counts[d] = before - 2
-    counts[0] -= 1
-    fell = d[before == 4]
-    if len(fell):
-        deg += _unique_partners(idx, ind, fell)
-    return idx, deg
 
 
 def unique_sums(A: ElementSet) -> ElementSet:
@@ -367,13 +363,12 @@ def is_minimal_saturating(A: ElementSet) -> PredicateReport:
     sense of `_saturating_removable`."""
     if 0 in A:
         raise ValueError("saturating sets live in the nonzero part of the group")
-    table = rep_counts(A)
-    two = table.support()
-    uncovered = A.union(two).complement()
+    two, unique = _two_and_unique(A)
+    uncovered = ElementSet(A.rank, A.bits | two).complement()
     if len(uncovered):
         return PredicateReport("minimal-saturating", False, detail="not saturating",
                                witness={"uncovered": uncovered.min_element()})
-    removable = _saturating_removable(A, two.bits, _unique_nonzero(table.counts, A.rank).bits)
+    removable = _saturating_removable(A, two, unique)
     if removable:
         return PredicateReport("minimal-saturating", False,
                                witness={"removable": ElementSet(A.rank, removable).min_element()})
@@ -388,7 +383,7 @@ def is_round(A: ElementSet) -> PredicateReport:
     """
     if len(A) <= 1:
         return PredicateReport("round", True)
-    unique = _unique_nonzero(rep_counts(A).counts, A.rank)
+    unique = ElementSet(A.rank, _two_and_unique(A)[1])
     redundant = A.difference(_removals_losing(A, unique))
     if len(redundant):
         return PredicateReport("round", False, witness={"redundant": redundant.min_element()})

@@ -61,6 +61,48 @@ def oracle_sumset(B: ElementSet, C: ElementSet) -> set[int]:
     return {b ^ c for b in B.elements() for c in cs}
 
 
+def oracle_translate(bits: int, g: int) -> int:
+    """The set bits + g, one element at a time."""
+    out = 0
+    x = 0
+    while bits >> x:
+        if (bits >> x) & 1:
+            out |= 1 << (x ^ g)
+        x += 1
+    return out
+
+
+def scalar_random_subset(rng, r: int, size: int) -> ElementSet:
+    """`generators.random_subset` as one randrange per draw."""
+    n = 1 << r
+    bits = 0
+    count = 0
+    while count < size:
+        e = rng.randrange(n)
+        if not (bits >> e) & 1:
+            bits |= 1 << e
+            count += 1
+    return ElementSet(r, bits)
+
+
+def scalar_random_sum_free(rng, r: int, maximal: bool) -> ElementSet:
+    """`generators.random_sum_free` with A and 2A as integers, one translate
+    per adjoined point and one `random` draw per point kept or dropped."""
+    order = list(range(1, 1 << r))
+    rng.shuffle(order)
+    bits = 0
+    two = 1
+    for x in order:
+        if (bits >> x) & 1 or (two >> x) & 1:
+            continue
+        two |= oracle_translate(bits, x) | 1
+        bits |= 1 << x
+    A = ElementSet(r, bits)
+    if maximal:
+        return A
+    return ElementSet.from_elements(r, [e for e in A if rng.random() < 0.7])
+
+
 def oracle_span(elems, r) -> set[int]:
     """Closure under XOR to a fixpoint."""
     members = {0} | set(elems)

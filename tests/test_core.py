@@ -22,7 +22,7 @@ from f2sets import (
 from f2sets import core
 from f2sets.core import translate_bits
 
-from conftest import oracle_period, oracle_span
+from conftest import oracle_period, oracle_span, oracle_translate
 
 small_sets = st.integers(min_value=1, max_value=6).flatmap(
     lambda r: st.tuples(st.just(r), st.integers(min_value=0, max_value=(1 << (1 << r)) - 1))
@@ -360,6 +360,24 @@ def test_swap_masks_match_the_division_formula():
         for i in range(r):
             s = 1 << i
             assert _swap_mask(r, i) == _full_mask(r) // ((1 << (2 * s)) - 1) * ((1 << s) - 1)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_translate_bits_matches_the_oracle(r):
+    rng = random.Random(r)
+    n = 1 << r
+    for _ in range(20):
+        bits = rng.getrandbits(n)
+        g = rng.randrange(n)
+        assert translate_bits(bits, g, r) == oracle_translate(bits, g)
+    assert [translate_bits(1, g, r) for g in range(n)] == [1 << g for g in range(n)]
+    if r <= 4:
+        # The uint16 arrays of search._lattice_scan: every entry at once.
+        arr = np.array([rng.getrandbits(n) for _ in range(64)], dtype=np.uint16)
+        for g in range(n):
+            moved = translate_bits(arr, g, r)
+            assert moved.dtype == np.uint16
+            assert moved.tolist() == [oracle_translate(int(b), g) for b in arr]
 
 
 def test_no_assert_statements_in_the_package():

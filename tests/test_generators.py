@@ -1,16 +1,18 @@
 from unittest import mock
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from f2sets import ElementSet, generators, is_round, is_sum_free, span, sumset
 from f2sets.generators import (
     CENSUS_BASES,
+    _drop_redundant,
     census_fixture_suite,
     linear_image,
     random_invertible,
     random_round_set,
+    random_subset,
     random_sum_free,
     round_set_suite,
     sharpness_pair,
@@ -18,16 +20,10 @@ from f2sets.generators import (
 )
 from f2sets.rng import Xorshift64
 from f2sets.structure import coset_census
-from f2sets.sumsets import (
-    _drop_partnered,
-    _removals_losing,
-    _unique_nonzero,
-    _unique_partners,
-    rep_counts,
-)
+from f2sets.sumsets import _removals_losing, _unique_nonzero, rep_counts
 from f2sets.urgraph import build, isolated_edges
 
-from conftest import oracle_rep_counts
+from conftest import oracle_rep_counts, scalar_random_subset, scalar_random_sum_free
 
 
 def test_round_set_suite_is_round_and_deterministic():
@@ -72,25 +68,9 @@ def test_trim_to_round_matches_reference():
             assert got_rng.next_u64() == want_rng.next_u64()
 
 
-def assert_partner_state(r, idx, deg, counts, ind):
-    """The state trim_to_round keeps, against a from-scratch recount of the set."""
-    B = ElementSet.from_elements(r, idx.tolist())
-    assert idx.tolist() == B.elements() == np.flatnonzero(ind).tolist()
-    fresh = rep_counts(B).counts
-    assert counts.tolist() == fresh.tolist()
-    partners = fresh[idx[:, None] ^ idx] == 2
-    np.fill_diagonal(partners, False)
-    assert deg.tolist() == partners.sum(axis=1).tolist()
-    if len(B) >= 2:
-        redundant = B.difference(_removals_losing(B, _unique_nonzero(fresh, r)))
-        assert idx[deg == 0].tolist() == redundant.elements()
-
-
-def partner_state(A):
-    idx = A.indices()
-    counts = rep_counts(A).counts.copy()
-    ind = np.array([int(x in A) for x in range(1 << A.rank)], dtype=np.uint8)
-    return idx, _unique_partners(idx, ind, np.flatnonzero(counts[1:] == 2) + 1), counts, ind
+def plane_counts(planes, r):
+    """The count each group element holds in the bit planes of trim_to_round."""
+    return [sum(((p >> d) & 1) << i for i, p in enumerate(planes)) for d in range(1 << r)]
 
 
 random_sets = st.tuples(st.integers(1, 9), st.integers(0, 2**64 - 1),
@@ -105,37 +85,59 @@ def draw_set(case):
 
 @settings(max_examples=80, deadline=None)
 @given(random_sets, st.integers(0, 2**64 - 1))
-def test_trim_steps_keep_partner_counts_equal_to_a_recount(case, seed):
+def test_trim_steps_keep_planes_and_redundant_set_equal_to_a_recount(case, seed):
     # A step hook: every removal trim_to_round makes is checked before and after.
     A = draw_set(case)
     r = A.rank
     steps = []
 
-    def checked(idx, deg, counts, ind, p):
-        assert_partner_state(r, idx, deg, counts, ind)
-        assert deg[p] == 0  # only redundant elements are drawn
-        idx, deg = _drop_partnered(idx, deg, counts, ind, p)
-        assert_partner_state(r, idx, deg, counts, ind)
-        steps.append(p)
-        return idx, deg
+    def assert_state(bits, planes, redundant):
+        B = ElementSet(r, bits)
+        fresh = rep_counts(B).counts
+        assert plane_counts(planes, r) == [0] + (fresh[1:] // 2).tolist()
+        assert redundant == B.difference(_removals_losing(B, _unique_nonzero(fresh, r))).elements()
 
-    with mock.patch.object(generators, "_drop_partnered", checked):
+    def checked(bits, planes, redundant, p, rank):
+        assert_state(bits, planes, redundant)
+        a = redundant[p]
+        before = set(redundant)
+        after = _drop_redundant(bits, planes, redundant, p, rank)
+        assert after == bits & ~(1 << a)
+        assert_state(after, planes, redundant)
+        assert set(redundant) <= before - {a}  # R never gains an element
+        steps.append(a)
+        return after
+
+    with mock.patch.object(generators, "_drop_redundant", checked):
         R = trim_to_round(A, Xorshift64(seed))
     assert len(steps) == len(A) - len(R)
     assert is_round(R)
 
 
-@settings(max_examples=40, deadline=None)
-@given(random_sets, st.data())
-def test_partner_counts_survive_any_removal_order(case, data):
-    # The update holds for every removal, not only of redundant elements.
-    A = draw_set(case)
-    idx, deg, counts, ind = partner_state(A)
-    assert_partner_state(A.rank, idx, deg, counts, ind)
-    while len(idx) > 1:
-        p = data.draw(st.integers(0, len(idx) - 1))
-        idx, deg = _drop_partnered(idx, deg, counts, ind, p)
-        assert_partner_state(A.rank, idx, deg, counts, ind)
+@pytest.mark.parametrize("r", range(1, 13))
+def test_random_subset_matches_the_scalar_loop(r):
+    n = 1 << r
+    source = Xorshift64(r)
+    # Empty, full, and sizes whose draws take more than one block at rank 12.
+    sizes = {0, 1, n // 3, n // 2, n - 1, n} | ({4000, 4090} if r == 12 else set())
+    for size in sorted(sizes):
+        seed = source.next_u64()
+        got, want = Xorshift64(seed), Xorshift64(seed)
+        assert random_subset(got, r, size) == scalar_random_subset(want, r, size), size
+        assert got.state == want.state, size
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_random_sum_free_matches_the_scalar_loop(r):
+    source = Xorshift64(100 + r)
+    for _ in range(3 if r > 10 else 10):
+        seed = source.next_u64()
+        for maximal in (False, True):
+            got, want = Xorshift64(seed), Xorshift64(seed)
+            S = random_sum_free(got, r, maximal=maximal)
+            assert S == scalar_random_sum_free(want, r, maximal)
+            assert got.state == want.state
+            assert is_sum_free(S)
 
 
 def test_random_sum_free():

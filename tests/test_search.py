@@ -26,6 +26,7 @@ from f2sets.search import (
     _AuditLog,
     _MinImage,
     _Enumerator,
+    _can_cover,
     _lattice_scan,
     _recheck_canonical_prune,
     _recheck_cap_drop,
@@ -44,7 +45,7 @@ from f2sets.search import (
     _word_less,
 )
 
-from conftest import apply_map
+from conftest import apply_map, oracle_translate
 
 
 def els(r, elements):
@@ -371,6 +372,41 @@ def test_budget_exhaustion_reports_incomplete():
     assert not report.complete
     payload = report.to_json()
     assert payload["complete"] is False
+
+
+def reference_can_cover(r, bits, covered, room):
+    """`_can_cover` with a fresh translate of the set for every y, and
+    whether the verdict came from that scan."""
+    n = 1 << r
+    deficit = n - covered.bit_count()
+    if room * bits.bit_count() + room * (room + 1) // 2 < deficit:
+        return False, False
+    top = bits.bit_length() - 1
+    room = min(room, n - 1 - top)
+    need = deficit - room * (room - 1) // 2
+    if need <= 0:
+        return True, False
+    uncovered = ((1 << n) - 1) ^ covered
+    return any(room * (((1 << y) | oracle_translate(bits, y)) & uncovered).bit_count() >= need
+               for y in range(top + 1, n)), True
+
+
+def test_stepped_cover_bound_matches_a_translate_per_point():
+    rnd = random.Random(19)
+    scans = {False: 0, True: 0}
+    for _ in range(3000):
+        r = rnd.randint(1, 7)
+        n = 1 << r
+        A = ElementSet.from_elements(r, rnd.sample(range(1, n), rnd.randint(0, min(n - 1, 6))))
+        if rnd.random() < 0.2:
+            A = A.union(ElementSet.from_elements(r, [n - 1]))  # nothing above the maximum
+        covered = A.union(sumset(A, A)).bits
+        room = rnd.randint(0, n // 2)
+        want, scanned = reference_can_cover(r, A.bits, covered, room)
+        assert _can_cover(r, A.bits, covered, room) == want, (A, room)
+        if scanned:
+            scans[want] += 1
+    assert min(scans.values()) > 100  # both verdicts reached through the scan
 
 
 def test_audit_mode_rechecks_pruned_nodes():

@@ -34,6 +34,8 @@ from f2sets.sumsets import (
     _cross_counts_dense,
     _cross_counts_sparse,
     _takes_pairs,
+    _two_and_unique,
+    _unique_nonzero,
     php_covered,
 )
 
@@ -325,6 +327,20 @@ def test_minimal_saturating_matches_oracle_exhaustive_r3():
     for mask in range(1 << 7):
         A = ElementSet(3, mask << 1)
         assert bool(is_minimal_saturating(A)) == oracle_is_minimal_saturating(A), A
+
+
+def test_pair_pass_matches_the_count_table():
+    # 2A and U(A) from one pass over the pairs, on both sides of _PY_PAIR_LIMIT.
+    rnd = random.Random(20)
+    sizes = set()
+    for _ in range(4000):
+        r = rnd.randint(1, 7)
+        n = 1 << r
+        A = ElementSet.from_elements(r, rnd.sample(range(n), rnd.randint(0, min(n, 20))))
+        table = rep_counts(A)
+        assert _two_and_unique(A) == (table.support().bits, _unique_nonzero(table.counts, r).bits)
+        sizes.add(len(A))
+    assert max(sizes) * (max(sizes) - 1) // 2 > _PY_PAIR_LIMIT
 
 
 def test_round_examples():
