@@ -1229,12 +1229,14 @@ def second_largest_check(r: int = 5, *, budget: SearchBudget | None = None) -> d
     """Desk-scale surrogate for the second-largest-size statement: report the
     top sizes of minimal saturating sets and compare them with 2^(r-1) and
     5 * 2^(r-4). The comparison is recorded, not asserted; the original claim
-    concerns r >= 9."""
+    concerns r >= 9. A run the budget stopped has seen only some sizes, so
+    both comparisons are None then."""
     report = enumerate_classes(r, "minimal-saturating", action="linear", budget=budget)
     sizes = sorted(report.sizes(), reverse=True)
     largest = sizes[0] if sizes else None
     second = sizes[1] if len(sizes) > 1 else None
     family = [1 << (r - 1), 5 * (1 << (r - 4))] if r >= 4 else [1 << (r - 1)]
+    done = report.complete
     return {
         "r": r,
         "complete": report.complete,
@@ -1245,8 +1247,9 @@ def second_largest_check(r: int = 5, *, budget: SearchBudget | None = None) -> d
         "largest": largest,
         "second_largest": second,
         "family_sizes": family,
-        "largest_matches": largest == family[0] if largest is not None else None,
-        "second_matches_family": second == family[1] if second is not None and len(family) > 1 else None,
+        "largest_matches": largest == family[0] if done and largest is not None else None,
+        "second_matches_family": (second == family[1]
+                                  if done and second is not None and len(family) > 1 else None),
     }
 
 

@@ -3,14 +3,16 @@ vertices are adjacent when their sum has exactly one unordered representation.
 
 The graph is materialized (vertex list plus adjacency bit-rows) for desk-scale
 sets: building it scans all vertex pairs once some nonzero sum is unique, which
-takes seconds for the rank-16 star {0} ∪ (H-coset). Analyses are pure; matching
-is exact via augmenting paths with blossom contraction, so non-bipartite
-instances are fine.
+takes seconds for the rank-16 star {0} ∪ (H-coset). Analyses are pure.
+
+Matching is exact on any graph: a degree-one reduction, then blossom searches
+that drop failed trees. `matching_number` says why each step is exact. The
+searches contract blossoms, as the graphs left after the reduction have odd
+cycles.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,34 +53,61 @@ class UrGraph:
 def build(A: ElementSet) -> UrGraph:
     """Graph on A with an edge (a1, a2) whenever a1 + a2 is a unique sum.
 
-    One count table marks the unique nonzero sums. The index pairs i < j are
+    One count table marks the unique nonzero sums. The index pairs are
     scanned from the diagonal on, in row blocks of at most
-    `_SPARSE_PRODUCT_LIMIT` pairs, so the edges come out sorted, one per
-    unique nonzero sum.
+    `_SPARSE_PRODUCT_LIMIT` pairs. One `np.packbits` of a block's hit matrix
+    gives the block's adjacency rows from the block start on: rows of at
+    most 64 bits are read as uint64 words, longer ones by `int.from_bytes`.
+    The hits right of the diagonal are the edges, sorted, one per unique
+    nonzero sum. Only sets larger than one block have neighbours before a
+    block's start: the far ends of edges from earlier blocks, set one bit
+    per edge.
     """
     if len(A) == 0:
         raise ValueError("cannot build a graph on the empty set")
-    verts = tuple(A.elements())
+    idx = A.indices()
+    verts = tuple(idx.tolist())
     n = len(verts)
     unique = rep_counts(A).counts == 2
     unique[0] = False  # N(0) = |A|, never a pair of distinct vertices
     want = int(np.count_nonzero(unique))
+    adj = [0] * n
     edges: list[tuple[int, int]] = []
     labels: list[int] = []
+    far: list[tuple[int, int]] = []  # edges (i, j) with j past the block of i
     if want:
-        idx = A.indices()
         rows = max(1, _SPARSE_PRODUCT_LIMIT // n)
         for start in range(0, n, rows):
             sums = np.bitwise_xor.outer(idx[start : start + rows], idx[start:])
-            ii, jj = np.nonzero(np.triu(unique[sums], 1))
-            labels += sums[ii, jj].tolist()
-            edges += zip((ii + start).tolist(), (jj + start).tolist())
+            hit = unique[sums]
+            packed = np.packbits(hit, axis=1, bitorder="little")
+            width = packed.shape[1]
+            if width <= 8:  # rows of at most 64 bits: one uint64 word each
+                words = np.zeros((len(hit), 8), np.uint8)
+                words[:, :width] = packed
+                got = words.view("<u8").ravel().tolist()
+            else:
+                flat = packed.tobytes()
+                got = [int.from_bytes(flat[k : k + width], "little")
+                       for k in range(0, len(flat), width)]
+            adj[start : start + rows] = [row << start for row in got] if start else got
+            hits = hit.ravel().nonzero()[0]
+            ii, jj = np.divmod(hits, n - start)
+            upper = jj > ii
+            labels += sums.ravel()[hits[upper]].tolist()
+            ii = ii[upper]
+            jj = jj[upper]
+            if start:
+                ii += start
+                jj += start
+            edges += zip(ii.tolist(), jj.tolist())
+            if start + rows < n:
+                past = jj >= start + rows
+                far += zip(ii[past].tolist(), jj[past].tolist())
+    for i, j in far:
+        adj[j] |= 1 << i
     if len(edges) != want:
         raise InternalError(f"{len(edges)} edges for {want} unique nonzero sums")
-    adj = [0] * n
-    for i, j in edges:
-        adj[i] |= 1 << j
-        adj[j] |= 1 << i
     return UrGraph(A.rank, verts, tuple(adj), tuple(edges), tuple(labels))
 
 
@@ -114,62 +143,68 @@ class MatchingResult:
     size: int
     edges: tuple[tuple[int, int], ...]  # vertex-index pairs, i < j, sorted
 
-    def to_json(self) -> dict:
-        return {"size": self.size, "edges": [list(e) for e in self.edges]}
 
+def _search(adj, alive, match, root, parent, base, outer) -> int:
+    """One blossom search from the unmatched root over the `alive` vertices.
 
-def _find_augmenting(nbrs: list[list[int]], match: list[int], root: int) -> bool:
-    """One search for an augmenting path from the unmatched root; augments
-    `match` and returns True when it finds one. The search state covers only
-    the vertices it reaches (a vertex missing from `base` is its own base),
-    so a search costs what it visits, not the vertex count."""
-    used = {root}
-    parent: dict[int, int] = {}
-    base: dict[int, int] = {}
-    queue = deque([root])
+    Returns 0 after augmenting `match` along the path it finds. When there is
+    none, the vertices it reached form a Hungarian tree, returned as a mask.
+    `parent`, `base` and `outer` are scratch arrays, reset on the reached
+    vertices before returning, so a search costs what it visits, not the
+    vertex count."""
+    outer[root] = 1
+    tree = [root]  # every vertex the search reaches, in the order reached
+    queue = [root]  # outer vertices, each scanned once
+    head = 0
+    found = False
 
     def lca(a: int, b: int) -> int:
         seen = set()
         while True:
-            a = base.get(a, a)
+            a = base[a]
             seen.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
-            b = base.get(b, b)
+            b = base[b]
             if b in seen:
                 return b
             b = parent[match[b]]
 
     def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
-        while base.get(v, v) != b:
-            blossom.add(base.get(v, v))
-            blossom.add(base.get(match[v], match[v]))
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             parent[v] = child
             child = match[v]
-            v = parent[match[v]]
+            v = parent[child]
 
-    while queue:
-        v = queue.popleft()
-        for to in nbrs[v]:
-            if base.get(v, v) == base.get(to, to) or match[v] == to:
+    while head < len(queue) and not found:
+        v = queue[head]
+        head += 1
+        rest = adj[v] & alive
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            to = low.bit_length() - 1
+            if base[v] == base[to] or match[v] == to:
                 continue
-            if to == root or (match[to] != -1 and match[to] in parent):
+            if to == root or (match[to] != -1 and parent[match[to]] != -1):
                 cur = lca(v, to)
                 blossom: set[int] = set()
                 mark_path(v, cur, to, blossom)
                 mark_path(to, cur, v, blossom)
-                # Only reached vertices can have a base in the blossom;
-                # ascending order keeps the queue order of a full scan.
-                for i in sorted(used.union(parent)):
-                    if base.get(i, i) in blossom:
+                # Every vertex whose base is in the blossom is in the tree.
+                for i in tree:
+                    if base[i] in blossom:
                         base[i] = cur
-                        if i not in used:
-                            used.add(i)
+                        if not outer[i]:
+                            outer[i] = 1
                             queue.append(i)
-            elif to not in parent:
+            elif parent[to] == -1:
                 parent[to] = v
+                tree.append(to)
                 if match[to] == -1:
                     # Augment along the alternating path back to the root.
                     while to != -1:
@@ -178,29 +213,104 @@ def _find_augmenting(nbrs: list[list[int]], match: list[int], root: int) -> bool
                         match[to] = prev
                         match[prev] = to
                         to = after
-                    return True
-                used.add(match[to])
-                queue.append(match[to])
-    return False
+                    found = True
+                    break
+                to = match[to]
+                outer[to] = 1
+                tree.append(to)
+                queue.append(to)
+    reached = 0
+    for i in tree:
+        parent[i] = -1
+        base[i] = i
+        outer[i] = 0
+        reached |= 1 << i
+    return 0 if found else reached
 
 
 def matching_number(G: UrGraph) -> MatchingResult:
-    """Exact maximum matching with an explicit certificate."""
+    """Exact maximum matching with an explicit certificate: a degree-one
+    reduction, then blossom searches that drop failed trees.
+
+    - Degree-one reduction (Karp and Sipser, 1981). A pendant vertex v, one
+      with a single active neighbour u, is matched to u, and both leave the
+      graph. This is exact: a maximum matching that misses v matches u, and
+      trading u's edge for uv keeps its size. Pendant vertices go lowest
+      index first, so a star keeps the edge to its first leaf.
+    - On what is left, a greedy start, then one blossom search from each
+      unmatched vertex while two of them are alive. A search that fails has
+      grown a Hungarian tree, and no augmenting path of this matching or of
+      any later one enters it (Edmonds, 1965). So its vertices are dead to
+      the later searches, and a root whose neighbours are all dead is skipped.
+    """
     n = G.n
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for i, j in G.edges:  # sorted edges give ascending neighbour lists
-        nbrs[i].append(j)
-        nbrs[j].append(i)
+    adj = G.adj
     match = [-1] * n
-    # Greedy warm start keeps the augmenting phase short.
-    for i, j in G.edges:
-        if match[i] == -1 and match[j] == -1:
-            match[i] = j
-            match[j] = i
-    for v in range(n):
-        if match[v] == -1 and nbrs[v]:
-            _find_augmenting(nbrs, match, v)
-    pairs = sorted((i, match[i]) for i in range(n) if match[i] > i)
+    active = (1 << n) - 1  # unmatched vertices with a neighbour among them
+    pendant = 0  # the active vertices with exactly one active neighbour
+    for v, degree in enumerate(map(int.bit_count, adj)):
+        if degree < 2:
+            if degree:
+                pendant |= 1 << v
+            else:
+                active ^= 1 << v
+    while pendant:
+        v = (pendant & -pendant).bit_length() - 1
+        u = (adj[v] & active).bit_length() - 1
+        match[u] = v
+        match[v] = u
+        active ^= (1 << u) | (1 << v)
+        # u's pendant neighbours are isolated now; the others lost one.
+        rest = adj[u] & active
+        active &= ~(rest & pendant)
+        rest &= ~pendant
+        pendant &= active
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = adj[low.bit_length() - 1] & active  # it had two or more
+            if row & (row - 1) == 0:
+                pendant |= low
+    # Greedy start: each vertex, lowest first, to its lowest unmatched
+    # neighbour. A vertex left unmatched had no unmatched neighbour, so it is
+    # no neighbour of a later unmatched one: `rest`, the unmatched vertices
+    # not yet visited, holds every candidate.
+    free = []
+    rest = active
+    while rest:
+        low = rest & -rest
+        v = low.bit_length() - 1
+        row = adj[v] & rest
+        if row:
+            high = row & -row
+            w = high.bit_length() - 1
+            match[v] = w
+            match[w] = v
+            rest ^= low | high
+        else:
+            rest ^= low
+            free.append(v)
+    if len(free) > 1:
+        alive = active
+        parent = [-1] * n
+        base = list(range(n))
+        outer = bytearray(n)
+        left = len(free)  # unmatched vertices still alive
+        for root in free:
+            if left < 2:
+                break
+            if match[root] != -1:
+                continue  # the far end of an earlier augmenting path
+            left -= 1
+            if not adj[root] & alive:
+                alive ^= 1 << root  # its neighbours are all dead
+                continue
+            tree = _search(adj, alive, match, root, parent, base, outer)
+            if tree:
+                alive &= ~tree
+            else:
+                left -= 1
+    pairs = [(i, j) for i, j in enumerate(match) if j > i]
     return MatchingResult(len(pairs), tuple(pairs))
 
 

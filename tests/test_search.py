@@ -204,6 +204,16 @@ def test_affine_enumeration_matches_agl3_orbit_minima(gl3, predicate):
     assert {e.size: {s.bits for s in e.representatives} for e in report.entries} == classes
 
 
+def test_affine_class_counts_match_the_literature():
+    # Subsets of F2^r up to AGL(r, 2), the empty set included, are the affine
+    # classes of Boolean functions of r variables: 3, 5, 10, 32, 382
+    # (Harrison 1964; OEIS A000214). Rank 5 takes a few seconds.
+    for r, want in ((1, 3), (2, 5), (3, 10), (4, 32), (5, 382)):
+        report = enumerate_classes(r, "any", action="affine")
+        assert report.complete
+        assert sum(e.class_count for e in report.entries) == want, r
+
+
 def test_affine_enumeration_rejects_zero_free_predicates():
     for predicate in ("minimal-saturating", "maximal-sum-free", "saturating", "sum-free"):
         with pytest.raises(ValueError):
@@ -665,6 +675,17 @@ def test_second_largest_r4():
     assert out["largest"] == 8
     assert out["family_sizes"] == [8, 5]
     assert out["surrogate"] is True
+    assert out["complete"] and out["largest_matches"] is True
+    assert out["second_matches_family"] is False  # 6 = second largest, not 5
+
+
+def test_second_largest_stopped_run_compares_nothing():
+    # 200 nodes reach only the 32-point classes at rank 6; a comparison drawn
+    # from the sizes seen so far would read as a finding.
+    out = second_largest_check(6, budget=SearchBudget(max_nodes=200))
+    assert out["complete"] is False
+    assert out["largest"] == 32 and out["family_sizes"] == [32, 20]
+    assert out["largest_matches"] is None and out["second_matches_family"] is None
 
 
 def test_find_example_deterministic():

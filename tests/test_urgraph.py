@@ -239,6 +239,81 @@ def test_matching_is_fast_on_rank_sixteen_star_and_edgeless_set():
         assert m.edges == want
 
 
+def graph_from_edges(n, edges):
+    """A general UrGraph on the vertices 0..n-1, built edge by edge."""
+    edges = tuple(sorted({(min(i, j), max(i, j)) for i, j in edges}))
+    adj = [0] * n
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return UrGraph(max(1, (n - 1).bit_length()), tuple(range(n)), tuple(adj), edges,
+                   tuple(i ^ j for i, j in edges))
+
+
+def cycle(vs):
+    return [(vs[k], vs[(k + 1) % len(vs)]) for k in range(len(vs))]
+
+
+GENERAL_GRAPHS = {
+    "odd cycles": [(k, cycle(range(k))) for k in (3, 5, 7, 9, 11)],
+    # A triangle, a 5-cycle and a 7-cycle sharing edges; two 5-cycles joined
+    # through one vertex; the Petersen graph. Over the vertex orders below the
+    # searches contract 12 blossoms, 5 of them around an earlier one.
+    "nested blossoms": [
+        (9, cycle([0, 1, 2]) + cycle([0, 3, 4, 5, 1]) + cycle([3, 6, 7, 8, 5, 4, 2])),
+        (11, cycle(range(5)) + cycle(range(6, 11)) + [(4, 5), (5, 6)]),
+        (10, cycle(range(5)) + [(k, k + 5) for k in range(5)]
+         + [(5, 7), (7, 9), (9, 6), (6, 8), (8, 5)]),
+    ],
+    "pendant chains": [(k, [(i, i + 1) for i in range(k - 1)]) for k in (2, 3, 6, 9)]
+    + [(8, cycle(range(5)) + [(0, 5), (5, 6), (2, 7)])],
+    "disjoint stars": [(12, [(0, k) for k in range(1, 4)] + [(4, k) for k in range(5, 9)]
+                        + [(9, 10), (9, 11)])],
+    "K4": [(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])],
+}
+
+
+@pytest.mark.parametrize("family", sorted(GENERAL_GRAPHS))
+def test_matching_against_oracle_on_general_graphs(family):
+    # Every vertex order: the degree-one rule, the greedy start and the
+    # searches all take vertices lowest index first.
+    rnd = random.Random(15)
+    for n, edges in GENERAL_GRAPHS[family]:
+        for _ in range(12):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            G = graph_from_edges(n, [(perm[i], perm[j]) for i, j in edges])
+            m = matching_number(G)
+            assert m.size == len(m.edges) == oracle_matching(n, G.edges), (family, G.edges)
+            assert list(m.edges) == sorted(m.edges)
+            ends = [v for e in m.edges for v in e]
+            assert set(m.edges) <= set(G.edges) and len(set(ends)) == len(ends)
+
+
+def test_rank_sixteen_star_needs_no_augmenting_search(monkeypatch):
+    calls = []
+    real = urgraph._search
+
+    def counted(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(urgraph, "_search", counted)
+    assert matching_number(star_graph(16)).edges == ((0, 1),)
+    assert calls == []
+    # K4 minus the edge 23 has no pendant vertex. The greedy start takes 01
+    # and strands 2 and 3; one search augments along 2-0-1-3.
+    G = graph_from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    assert matching_number(G).edges == ((0, 2), (1, 3))
+    assert calls == [0]
+    # K_{2,10}: the greedy start matches both hubs; the first stranded leaf's
+    # search fails and kills its tree, so the other seven leaves are skipped.
+    calls.clear()
+    G = graph_from_edges(12, [(hub, k) for hub in (0, 1) for k in range(2, 12)])
+    assert matching_number(G).edges == ((0, 2), (1, 3))
+    assert calls == [0b11111]
+
+
 def test_matching_certificate_sorted():
     G = build(els(3, [0, 1, 2, 4]))
     m = matching_number(G)
