@@ -234,17 +234,9 @@ def cmd_graph(args) -> int:
 
 def cmd_decompose(args) -> int:
     A = _load_set(args)
-    if args.form == "saturating":
-        decs = decompose_saturating(A)
-    else:
-        decs = decompose_round(A)
-    payload = {
-        "form": args.form,
-        "decompositions": [d.to_json() for d in decs],
-        "count": len(decs),
-    }
-    code = 0 if decs else 1
-    return _emit(payload, f"{len(decs)} decomposition(s)", code)
+    decs = (decompose_saturating if args.form == "saturating" else decompose_round)(A)
+    payload = {"form": args.form, "decompositions": [d.to_json() for d in decs], "count": len(decs)}
+    return _emit(payload, f"{len(decs)} decomposition(s)", 0 if decs else 1)
 
 
 def cmd_classify_sumfree(args) -> int:

@@ -51,16 +51,15 @@ from .generators import random_sum_free
 from .rng import Xorshift64
 from .sumsets import (
     _saturating_removable,
-    _unique_nonzero,
+    _two_and_unique,
     is_maximal_sum_free,
     is_minimal_saturating,
     is_round,
     is_saturating,
     is_sum_free,
-    rep_counts,
     sumset,
 )
-from .structure import classify_max_sumfree, decompose_saturating
+from .structure import Decomposition, classify_max_sumfree, decompose_saturating
 from . import urgraph
 
 Action = Literal["linear", "affine", "none"]
@@ -1140,7 +1139,7 @@ def verify_classification(
     converse_count = 0
     for S in max_sf:
         for s in S.with_zero():
-            built = S.with_zero().translate(s).nonzero()
+            built = Decomposition("saturating", s, S).expand()
             converse_count += 1
             if ((listed is not None and built.bits not in listed)
                     or not is_minimal_saturating(built)):
@@ -1205,9 +1204,7 @@ def find_example(
             A = ElementSet(r, bits)
             elems = A.elements()
             rng.shuffle(elems)
-            table = rep_counts(A)
-            removable = _saturating_removable(A, table.support().bits,
-                                              _unique_nonzero(table.counts, r).bits)
+            removable = _saturating_removable(A, *_two_and_unique(A))
             a = next((a for a in elems if (removable >> a) & 1), None)
             if a is None:
                 return bits

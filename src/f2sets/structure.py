@@ -4,6 +4,23 @@ predicates read off the complementary cap, and the two-isolated-edges census.
 
 Every certificate returned here re-expands to its input bit-exactly; callers
 can round-trip any decomposition without recomputation.
+
+Both decompositions read their shifts off U(A), the nonzero sums with one
+unordered pair (`sumsets._two_and_unique`), by two facts.
+
+Shift rule. For |A| >= 2, g in A is a round shift ((A + g) ∖ {0} sum-free)
+iff A + g ⊆ U(A) ∪ {0}. Proof: the translate has a line iff g = a + b + c
+for pairwise distinct a, b, c in A (none is g, as b + c != 0), iff some
+g + a, a != g, equals b + c for a pair {b, c} != {g, a}, that is, is not in
+U(A). So the shifts are the star centres of the unique-representation
+graph, and A ∩ (A + M), M = 2A ∖ (U(A) ∪ {0}), holds the other points.
+
+Saturating reduction. If 0 is not in A and A ∪ 2A = G, every base
+B = ((A ∪ {0}) + s) ∖ {0} is non-empty with B ∪ 2B = 2(A ∪ {0}) = G, so it
+is maximal sum-free iff sum-free: the shifted-cap forms of A are the round
+forms of A ∪ {0}, with the same shifts, bases and order. Otherwise
+B ∪ 2B ∪ {0} = A ∪ 2A ∪ {0} is not G, or A = B = ∅ (at rank 0, 2({0}) = G),
+and A has no form.
 """
 
 from __future__ import annotations
@@ -22,8 +39,10 @@ from .core import (
 )
 from .sumsets import (
     PredicateReport,
+    _two_and_unique,
     is_maximal_sum_free,
     is_sum_free,
+    sumset,
     two_a,
 )
 from . import urgraph
@@ -31,12 +50,9 @@ from . import urgraph
 
 @dataclass(frozen=True)
 class Decomposition:
-    """A = shift + (base ∪ {0}), minus 0 for the saturating form.
-
-    kind "saturating": base is maximal sum-free, shift in base ∪ {0}, and
-    A = (shift + (base ∪ {0})) \\ {0}.
-    kind "round": base is sum-free and A = shift + (base ∪ {0}).
-    """
+    """A = shift + (base ∪ {0}), minus 0 for the saturating form, whose base is
+    maximal sum-free with shift in base ∪ {0}; the round form has a sum-free
+    base. `expand` is the one place the shifted-cap map is written."""
 
     kind: Literal["saturating", "round"]
     shift: int
@@ -44,9 +60,7 @@ class Decomposition:
 
     def expand(self) -> ElementSet:
         shifted = self.base.with_zero().translate(self.shift)
-        if self.kind == "saturating":
-            return shifted.nonzero()
-        return shifted
+        return shifted.nonzero() if self.kind == "saturating" else shifted
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "shift": self.shift, "base": self.base.to_json()}
@@ -54,35 +68,34 @@ class Decomposition:
 
 def decompose_saturating(A: ElementSet) -> list[Decomposition]:
     """All shifted-cap representations of A; empty when A is not of that form.
-
-    Only shifts in A ∪ {0} can work: the expansion contains shift + 0 = shift,
-    which lands in A unless it is the deleted zero.
-    """
+    A shift lies in A ∪ {0}, since the expansion holds shift + 0 unless 0."""
     if 0 in A:
         raise ValueError("saturating sets exclude 0")
-    out = []
-    for s in A.with_zero():
-        base = A.with_zero().translate(s).nonzero()
-        if is_maximal_sum_free(base):
-            dec = Decomposition("saturating", s, base)
-            if dec.expand() != A:
-                raise InternalError(f"shifted-cap form with shift {s} does not expand to A")
-            out.append(dec)
-    return out
+    return _shifted_forms(A, "saturating")
 
 
 def decompose_round(A: ElementSet) -> list[Decomposition]:
     """All representations A = g + (S ∪ {0}) with S sum-free."""
     if len(A) < 2:
         raise ValueError("decompose_round needs |A| >= 2")
+    return _shifted_forms(A, "round")
+
+
+def _shifted_forms(A: ElementSet, kind: Literal["saturating", "round"]) -> list[Decomposition]:
+    """The forms of one kind by the shift rule on A ∪ {0} (saturating) or A:
+    one pass for 2A and U(A), one sumset, one predicate per shift found."""
+    full = A.with_zero() if kind == "saturating" else A
+    two, unique = _two_and_unique(full)
+    if kind == "saturating" and not (len(A) and ElementSet(A.rank, two).is_full()):
+        return []
+    shared = ElementSet(A.rank, two & ~unique & ~1)
+    check = is_maximal_sum_free if kind == "saturating" else is_sum_free
     out = []
-    for g in A:
-        base = A.translate(g).nonzero()
-        if is_sum_free(base):
-            dec = Decomposition("round", g, base)
-            if dec.expand() != A:
-                raise InternalError(f"round form with shift {g} does not expand to A")
-            out.append(dec)
+    for g in full.difference(sumset(full, shared)):
+        dec = Decomposition(kind, g, full.translate(g).nonzero())
+        if dec.expand() != A or not check(dec.base):
+            raise InternalError(f"{kind} form with shift {g} fails its check")
+        out.append(dec)
     return out
 
 
@@ -151,10 +164,11 @@ def construct_coset(r: int, g: int | None = None) -> ElementSet:
 
 def construct_punctured(r: int, g: int | None = None) -> ElementSet:
     """{g} together with the nonzero part of the subgroup H of
-    `construct_coset`, which is g + (g + H): minimal saturating."""
+    `construct_coset`: the shifted-cap form of the coset g + H with shift g,
+    minimal saturating."""
     coset = construct_coset(r, g)
     g = coset.min_element() if g is None else g
-    return coset.translate(g).nonzero().with_element(g)
+    return Decomposition("saturating", g, coset).expand()
 
 
 def construct_shifted_cap(base: ElementSet, shift: int) -> ElementSet:
@@ -163,7 +177,7 @@ def construct_shifted_cap(base: ElementSet, shift: int) -> ElementSet:
         raise ValueError("construct_shifted_cap needs a maximal sum-free base")
     if shift != 0 and shift not in base:
         raise ValueError("shift must lie in the base or be 0")
-    return base.with_zero().translate(shift).nonzero()
+    return Decomposition("saturating", shift, base).expand()
 
 
 def construct_cap_replacement(base: ElementSet, shift: int) -> ElementSet:

@@ -52,8 +52,10 @@ of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets use this
 set form directly. For saturating sets W = U(A) ∖ A, and the one helper
 `_saturating_removable` gives the removable elements to
 `is_minimal_saturating`, the search profile and the `find_example` trimmer.
-Up to `_PY_PAIR_LIMIT` pairs both predicates take 2A and U(A) from one
-pass over the pairs (`_two_and_unique`) instead of a count table.
+`_two_and_unique` is the one source of 2A and U(A) as bits (one pass over the
+pairs up to `_PY_PAIR_LIMIT` pairs, a count table above) for `is_round`,
+`is_minimal_saturating`, `unique_sums`, the `find_example` trimmer and the
+shift rule of `structure`.
 
 Per element, a is in A + U(A) iff it has a unique partner, some b != a in
 A with N(a + b) = 2; call a redundant when it has none. Removing redundant
@@ -306,11 +308,8 @@ def _saturating_removable(A: ElementSet, two: int, unique: int) -> int:
 
 
 def unique_sums(A: ElementSet) -> ElementSet:
-    """The set of elements with exactly one unordered representation from A + A."""
-    bits = _unique_nonzero(rep_counts(A).counts, A.rank).bits
-    if len(A) == 1:
-        bits |= 1  # 0 = a + a is the unique representation
-    return ElementSet(A.rank, bits)
+    """Elements with exactly one unordered representation in A + A: U(A), and 0 if |A| = 1."""
+    return ElementSet(A.rank, _two_and_unique(A)[1] | (len(A) == 1))
 
 
 # -- predicates
@@ -350,8 +349,6 @@ def is_saturating(A: ElementSet) -> PredicateReport:
     """Saturating iff A together with 2A covers the whole group. Requires 0 not in A."""
     if 0 in A:
         raise ValueError("saturating sets live in the nonzero part of the group")
-    if len(A) == 0:
-        return PredicateReport("saturating", False, witness={"uncovered": 0})
     uncovered = A.union(two_a(A)).complement()
     if len(uncovered):
         return PredicateReport("saturating", False, witness={"uncovered": uncovered.min_element()})

@@ -7,7 +7,8 @@ import itertools
 
 import pytest
 
-from f2sets import ElementSet
+from f2sets import ElementSet, is_maximal_sum_free, is_sum_free
+from f2sets.structure import Decomposition
 
 
 def oracle_rep_counts(A: ElementSet) -> list[int]:
@@ -240,3 +241,27 @@ def gl3():
 @pytest.fixture(scope="session")
 def gl4():
     return all_invertible_maps(4)
+
+
+def oracle_decompose_saturating(A: ElementSet, maximal_sum_free=None) -> list:
+    """Shifted-cap forms by one maximal-sum-free test per candidate shift in
+    A ∪ {0}: the definition, in ascending shift order. `maximal_sum_free`
+    replaces the library predicate, for instance by a memoised one."""
+    check = maximal_sum_free or is_maximal_sum_free
+    out = []
+    for s in A.with_zero():
+        base = A.with_zero().translate(s).nonzero()
+        if check(base):
+            out.append(Decomposition("saturating", s, base))
+    return out
+
+
+def oracle_decompose_round(A: ElementSet, sum_free=None) -> list:
+    """Round forms A = g + (S ∪ {0}) by one sum-free test per g in A."""
+    check = sum_free or is_sum_free
+    out = []
+    for g in A:
+        base = A.translate(g).nonzero()
+        if check(base):
+            out.append(Decomposition("round", g, base))
+    return out

@@ -229,6 +229,17 @@ def test_verify_commands():
     assert code == 0 and payload["largest"] == 8
 
 
+def test_verify_factdt_r6_is_pinned():
+    # Above 9 * 2^(r-5) = 18 the rank-6 maximal sum-free classes are the
+    # 20-point five-point form and the 32-point index-2 coset.
+    code, payload, _ = run_cli(["verify", "factdt", "--r", "6"])
+    assert code == 0
+    assert payload["complete"] and payload["verdict"]
+    assert payload["checked_classes"] == 2
+    assert payload["tags"] == {"five_point_form": 1, "index_two_coset": 1}
+    assert payload["sizes"] == [13, 17, 18, 20, 32]
+
+
 def test_verify_threshold_expression():
     code, payload, _ = run_cli(
         ["verify", "classification", "--r", "3", "--threshold", "7/2"]

@@ -19,6 +19,7 @@ from f2sets import (
 )
 from f2sets import urgraph
 from f2sets.generators import linear_image, round_set_suite
+from f2sets.structure import decompose_round
 from f2sets.rng import Xorshift64
 from f2sets.search import (
     MinimalSaturatingProfile,
@@ -212,6 +213,25 @@ def test_affine_class_counts_match_the_literature():
         report = enumerate_classes(r, "any", action="affine")
         assert report.complete
         assert sum(e.class_count for e in report.entries) == want, r
+
+
+def test_round_lemmas_hold_on_every_rank_five_round_class():
+    # Exhaustion at rank 5: the 45 affine classes of round sets, 43 of them
+    # with |A| >= 2 and 14 at or above 2^(r-2) + 3. On each, the property
+    # bundle holds, roundness is "no isolated vertex" of the graph, and the
+    # round shifts are its spanning-star centres.
+    report = enumerate_classes(5, "round", action="affine")
+    sets = [A for e in report.entries for A in e.representatives]
+    assert report.complete and len(sets) == 45
+    big = [A for A in sets if len(A) >= 2]
+    assert len(big) == 43
+    for A in big:
+        assert round_property_check(A)["ok"], A
+        G = urgraph.build(A)
+        assert bool(is_round(A)) == all(G.adj), A
+        shifts = [d.shift for d in decompose_round(A)]
+        assert shifts == urgraph.spanning_star_centers(G).elements(), A
+    assert sum(len(A) >= (1 << 3) + 3 for A in big) == 14
 
 
 def test_affine_enumeration_rejects_zero_free_predicates():

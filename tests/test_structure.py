@@ -1,10 +1,18 @@
+import collections
+import functools
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import f2sets
 from f2sets import (
     ElementSet,
     Subgroup,
@@ -20,6 +28,7 @@ from f2sets.generators import (
 )
 from f2sets.structure import (
     CensusError,
+    Decomposition,
     classify_max_sumfree,
     construct_cap_replacement,
     construct_coset,
@@ -34,10 +43,15 @@ from f2sets.structure import (
     tangent_construction,
 )
 from f2sets.rng import Xorshift64
-from f2sets import sumsets, urgraph
+from f2sets import structure, sumsets, urgraph
 from f2sets.urgraph import build, spanning_star_centers
 
-from conftest import oracle_blocking_reports, oracle_lines
+from conftest import (
+    oracle_blocking_reports,
+    oracle_decompose_round,
+    oracle_decompose_saturating,
+    oracle_lines,
+)
 
 
 def els(r, elements):
@@ -115,6 +129,96 @@ def test_decompose_round_agrees_with_star_centers():
         assert sorted(d.shift for d in decs) == centers.elements(), A
         agree += 1
     assert agree > 3000
+
+
+def test_decompositions_equal_the_per_shift_oracles_at_ranks_0_to_4():
+    # Every set: the round forms of each |A| >= 2 and the shifted-cap forms
+    # of each A without 0, with shifts, bases and order. The oracles'
+    # predicates are memoised per base, so rank 4 takes a few seconds.
+    for r in range(5):
+        sum_free = functools.lru_cache(maxsize=None)(is_sum_free)
+        maximal = functools.lru_cache(maxsize=None)(is_maximal_sum_free)
+        for bits in range(1 << (1 << r)):
+            A = ElementSet(r, bits)
+            if len(A) >= 2:
+                assert decompose_round(A) == oracle_decompose_round(A, sum_free), A
+            if not bits & 1:
+                assert decompose_saturating(A) == oracle_decompose_saturating(A, maximal), A
+    # The empty set has no form at rank 0 too, where 2({0}) is the group.
+    assert decompose_saturating(ElementSet(0, 0)) == []
+
+
+def test_decompositions_equal_the_oracles_on_random_sets_and_shifted_caps():
+    rnd = random.Random(22)
+    for _ in range(300):
+        r = rnd.randint(5, 7)
+        A = ElementSet(r, rnd.getrandbits(1 << r))
+        if len(A) >= 2:
+            assert decompose_round(A) == oracle_decompose_round(A), A
+        assert decompose_saturating(A.nonzero()) == oracle_decompose_saturating(A.nonzero()), A
+    rng = Xorshift64(22)
+    for _ in range(60):
+        r = 3 + rng.randrange(6)
+        S = random_sum_free(rng, r, maximal=True)
+        shifts = S.with_zero().elements()
+        for s in (shifts[rng.randrange(len(shifts))], 0):
+            A = construct_shifted_cap(S, s)
+            decs = decompose_saturating(A)
+            assert decs == oracle_decompose_saturating(A), (S, s)
+            assert Decomposition("saturating", s, S) in decs
+            assert decompose_round(A.with_zero()) == oracle_decompose_round(A.with_zero())
+
+
+def test_star_forms_take_one_unique_sum_pass_and_one_predicate_per_shift(monkeypatch):
+    # The rank-12 star {0} ∪ (e + H), 2,049 points, has the one shift 0, and
+    # its coset e + H has no round shift; a per-shift loop would test every
+    # point.
+    calls = collections.Counter()
+    for name in ("_two_and_unique", "is_sum_free", "is_maximal_sum_free"):
+        def counted(*args, _name=name, _real=getattr(structure, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(structure, name, counted)
+    r = 12
+    coset = construct_coset(r)
+    star = coset.with_zero()
+    assert decompose_round(star) == [Decomposition("round", 0, coset)]
+    assert calls == {"_two_and_unique": 1, "is_sum_free": 1}
+    calls.clear()
+    assert decompose_saturating(coset) == [Decomposition("saturating", 0, coset)]
+    assert calls == {"_two_and_unique": 1, "is_maximal_sum_free": 1}
+    calls.clear()
+    assert decompose_round(coset) == []
+    assert calls == {"_two_and_unique": 1}
+
+
+def test_forged_unique_sums_raise_internal_error():
+    # Marking every nonzero sum of the whole rank-2 group as unique makes
+    # every point a shift; the base check must raise, under python -O too.
+    script = textwrap.dedent("""
+        from f2sets import ElementSet, InternalError, structure
+
+        real = structure._two_and_unique
+
+        def forged(A):
+            two, unique = real(A)
+            return two, two & ~1
+
+        structure._two_and_unique = forged
+        for decompose, A in ((structure.decompose_round, ElementSet(2, 0b1111)),
+                             (structure.decompose_saturating, ElementSet(2, 0b1110))):
+            try:
+                decompose(A)
+            except InternalError:
+                print("raised")
+    """)
+    src = str(Path(f2sets.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.stdout.split() == ["raised", "raised"], (flags, proc.stderr)
 
 
 # -- classification of maximal sum-free sets
