@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -345,6 +346,26 @@ def cmd_fuzz(args) -> int:
                  0 if out["ok"] else 1)
 
 
+def _flag_type(kind, accept, what: str):
+    """An argparse type: `kind` of the text, kept when `accept` holds, else a
+    usage error naming `what` the flag takes."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+    return parse
+
+
+_COUNT = _flag_type(int, lambda v: v >= 0, "a non-negative integer")
+_WORKERS = _flag_type(int, lambda v: v > 0, "a positive integer")
+_SECONDS = _flag_type(float, lambda v: math.isfinite(v) and v >= 0,
+                      "a finite non-negative number")
+
+
 def _add_set(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=int, help="group rank")
     p.add_argument("--set", help="set literal JSON")
@@ -356,11 +377,11 @@ def _add_budget(p: argparse.ArgumentParser, *, search: bool = False) -> None:
     """The shared search budget; with search, also the audit, its seed and the threads."""
     if search:
         p.add_argument("--seed", type=int, help="audit sampling seed; default 0")
-        p.add_argument("--threads", type=int, help="default 1")
+        p.add_argument("--threads", type=_WORKERS, help="default 1")
         p.add_argument("--audit", action="store_true",
                        help="re-check a sample of pruned nodes with plain oracles")
-    p.add_argument("--budget-nodes", type=int)
-    p.add_argument("--budget-secs", type=float)
+    p.add_argument("--budget-nodes", type=_COUNT)
+    p.add_argument("--budget-secs", type=_SECONDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("predicate")
         p.add_argument("--r", type=int, required=True, help="group rank")
         p.add_argument("--action", choices=["linear", "affine", "none"], default="linear")
-        p.add_argument("--size-min", type=int, default=0)
-        p.add_argument("--size-max", type=int)
+        p.add_argument("--size-min", type=_COUNT, default=0)
+        p.add_argument("--size-max", type=_COUNT)
         _add_budget(p, search=True)
         p.add_argument("--tsv", help="also write a size/count/representative TSV file")
         p.set_defaults(func=cmd_enumerate)
@@ -448,15 +469,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("find-example", help="randomized search for an example of a given size")
     p.add_argument("predicate")
     p.add_argument("--r", type=int, required=True, help="group rank")
-    p.add_argument("--size", type=int, required=True)
+    p.add_argument("--size", type=_COUNT, required=True)
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--restarts", type=int, default=20000)
+    p.add_argument("--restarts", type=_COUNT, default=20000)
     p.set_defaults(func=cmd_find_example)
 
     p = sub.add_parser("fuzz", help="run a seeded fuzz harness")
     p.add_argument("lemma", choices=[*FUZZ_HARNESSES, "sfnotround"])
     p.add_argument("--r", type=int, help="group rank (sfnotround: the one rank to check)")
-    p.add_argument("--iters", type=int, help="default 1000; not for sfnotround")
+    p.add_argument("--iters", type=_COUNT, help="default 1000; not for sfnotround")
     p.add_argument("--seed", type=int, help="generator seed; not for sfnotround")
     p.set_defaults(func=cmd_fuzz)
 

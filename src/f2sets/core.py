@@ -17,7 +17,7 @@ import numpy as np
 
 MAX_RANK = 24
 
-# ElementSet.__iter__ peels bits off the backing integer up to this many
+# ElementSet.elements() peels bits off the backing integer up to this many
 # members; each step costs O(2^r) bits, so larger sets unpack with numpy,
 # whose ~5 us fixed cost the bit loop beats only on small sets.
 _ITER_LOOP_MAX = 32
@@ -196,9 +196,15 @@ class ElementSet:
         rank = obj["r"]
         validate_rank(rank)
         if "elements" in obj:
-            return cls.from_elements(rank, obj["elements"])
+            elements = obj["elements"]
+            for e in elements:  # JSON true would pass as 1, and 1.5 fail deep inside
+                if type(e) is not int:
+                    raise ValueError(f"set elements must be integers, got {e!r}")
+            return cls.from_elements(rank, elements)
         if "bits_hex" in obj:
             hexstr = obj["bits_hex"]
+            if not isinstance(hexstr, str):
+                raise ValueError(f"bits_hex must be a string, got {hexstr!r}")
             expected = max(1, (1 << rank) // 4)
             if len(hexstr) != expected:
                 raise ValueError(
@@ -225,14 +231,12 @@ class ElementSet:
         return 0 <= e < group_order(self.rank) and (self.bits >> e) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        b = self.bits
-        if b.bit_count() > _ITER_LOOP_MAX:
-            yield from bits_to_indices(b, self.rank).tolist()
-        else:
-            yield from _peel_bits(b)
+        return iter(self.elements())
 
     def elements(self) -> list[int]:
-        return list(self)
+        if self.bits.bit_count() > _ITER_LOOP_MAX:
+            return bits_to_indices(self.bits, self.rank).tolist()
+        return _peel_bits(self.bits)
 
     def indices(self) -> np.ndarray:
         if self.bits.bit_count() <= _INDICES_LOOP_MAX:

@@ -70,6 +70,10 @@ class _NotCanonical(Exception):
         self.witness_cols = witness_cols
 
 
+class _DeadlinePassed(Exception):
+    """A canonicity test ran past the run's deadline; it has no verdict."""
+
+
 def _word_less(x_bits: int, y_bits: int) -> bool:
     """Set order used everywhere: the set containing the smallest element of the
     symmetric difference comes first."""
@@ -101,11 +105,14 @@ class _MinImage:
     image span is always the range [0, 2^k). Images are computed only when
     needed, from the chosen preimages and their span masks. Seeds are known
     automorphisms of the set (dicts on its points); they skip siblings from
-    the root of the walk on and are recorded first.
+    the root of the walk on and are recorded first. With a deadline (a
+    `time.monotonic` value) every walk node reads the clock, and a walk
+    past it raises `_DeadlinePassed`.
     """
 
-    def __init__(self, r: int, elems: tuple[int, ...], seeds=()):
+    def __init__(self, r: int, elems: tuple[int, ...], seeds=(), deadline=None):
         self.r = r
+        self.deadline = deadline
         self.elems = elems
         self.size = len(elems)
         self.setbits = sum(1 << x for x in elems)
@@ -148,6 +155,8 @@ class _MinImage:
     # idx = members placed so far.
 
     def _walk(self, plist, doms, det, f, idx) -> None:
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise _DeadlinePassed
         inc = self.incumbent
         # Slots inside the span are forced: settle the covered members above f
         # in ascending order, abandoning the branch at the first excess.
@@ -382,7 +391,7 @@ class _StabiliserOrbits:
         raise InternalError(f"{x} is the least point of its orbit")
 
 
-def _shift_engines(A: ElementSet, auts):
+def _shift_engines(A: ElementSet, auts, deadline=None):
     """(g, engine on the nonzero points of A + g, seeded with the maps that
     fix g) for the least nonzero g of A, a set holding 0, in each orbit of
     the group the automorphisms generate, in ascending order of g.
@@ -390,12 +399,13 @@ def _shift_engines(A: ElementSet, auts):
     A linear h with h(A) = A sends A + g to A + h(g), so translates by points
     of one orbit are linear images of each other. Any subgroup of Aut(A)
     is sound; missing automorphisms only leave more translates to walk.
+    The engines carry the deadline of `_MinImage`.
     """
     orbits = _StabiliserOrbits(A.rank, A.bits, auts)
     for g in A.nonzero():
         if orbits.least(g) == g:
             moved = A.translate(g).nonzero()
-            yield g, _MinImage(A.rank, tuple(moved.elements()), orbits.shift_seeds(g))
+            yield g, _MinImage(A.rank, tuple(moved.elements()), orbits.shift_seeds(g), deadline)
 
 
 def _affine_canonical_bits(A: ElementSet) -> int:
@@ -432,18 +442,19 @@ def canonical_form(A: ElementSet, action: Action = "linear", *,
 
 
 def _is_canonical(A: ElementSet, action: Action,
-                  seeds=()) -> tuple[bool, dict | None, list]:
+                  seeds=(), deadline=None) -> tuple[bool, dict | None, list]:
     """Canonicity test: the verdict, a verifiable rejection certificate, and
     the automorphisms of A (linear maps fixing 0) that the test recorded;
     a rejection returns none. Seeds are known automorphisms of A, as dicts
-    on its nonzero points; they are recorded first."""
+    on its nonzero points; they are recorded first. A walk past the
+    deadline raises `_DeadlinePassed` (see `_MinImage`)."""
     if action == "none" or (action == "affine" and len(A) == 0):
         return True, None, []
     if action not in ("linear", "affine"):
         raise ValueError(f"unknown action {action!r}")
     if action == "affine" and 0 not in A:
         return False, {"kind": "affine", "shift": A.min_element(), "cols": None}, []
-    engine = _MinImage(A.rank, tuple(A.nonzero().elements()), seeds)
+    engine = _MinImage(A.rank, tuple(A.nonzero().elements()), seeds, deadline)
     ok, cols = engine.is_canonical()
     if not ok:
         cert = ({"kind": "linear", "cols": cols} if action == "linear"
@@ -452,7 +463,7 @@ def _is_canonical(A: ElementSet, action: Action,
     if action == "affine":
         # Each translate is walked against A's own word: no image below it
         # may exist, so the walk stops at the first one.
-        for g, shifted in _shift_engines(A, engine.auts):
+        for g, shifted in _shift_engines(A, engine.auts, deadline):
             if not shifted.is_canonical(engine.elems)[0]:
                 return False, {"kind": "affine", "shift": g, "cols": None}, []
     return True, None, engine.auts
@@ -824,6 +835,9 @@ class _Enumerator:
         self.size_min = size_min
         self.size_max = size_max
         self.budget = budget
+        # The canonicity walk reads the clock only under a time budget.
+        self.deadline = (None if budget.max_seconds is None
+                         else budget.started + budget.max_seconds)
         self.log = log
         self.stop_depth: int | None = None
         self.hits: dict[int, list[int]] = {}
@@ -895,8 +909,13 @@ class _Enumerator:
                 continue
             # The parent's automorphisms that fix x are automorphisms of the child.
             seeds = orbits.child_seeds(x) if orbits is not None else ()
-            ok, cert, child_auts = _is_canonical(ElementSet(self.r, child_bits),
-                                                 self.action, seeds)
+            try:
+                ok, cert, child_auts = _is_canonical(ElementSet(self.r, child_bits),
+                                                     self.action, seeds, self.deadline)
+            except _DeadlinePassed:
+                # The child is neither visited nor rejected; the run is incomplete.
+                self.budget.exceeded = True
+                return
             if not ok:
                 if self.log:
                     self.log.record("canonical", self.r, child_bits, cert)
@@ -1132,8 +1151,9 @@ def verify_classification(
         spectrum[len(A)] = spectrum.get(len(A), 0) + 1
         if len(A) > thr and not decompose_saturating(A):
             counterexamples.append(A)
-    # The lattice pass lists every minimal saturating set, so each built set
-    # must be among them; a DFS lists class representatives only.
+    # The lattice pass lists every minimal saturating set and confirms each
+    # with is_minimal_saturating, so at r <= 4 a built set passes iff it is
+    # listed. A DFS lists class representatives only; there the predicate decides.
     listed = {A.bits for A in minimal_sets} if r <= 4 else None
     converse_ok = True
     converse_count = 0
@@ -1141,8 +1161,7 @@ def verify_classification(
         for s in S.with_zero():
             built = Decomposition("saturating", s, S).expand()
             converse_count += 1
-            if ((listed is not None and built.bits not in listed)
-                    or not is_minimal_saturating(built)):
+            if not (built.bits in listed if listed is not None else is_minimal_saturating(built)):
                 converse_ok = False
                 counterexamples.append(built)
 

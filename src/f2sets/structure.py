@@ -33,7 +33,6 @@ from .core import (
     InternalError,
     QuotientView,
     Subgroup,
-    is_subgroup,
     period,
     span,
 )
@@ -129,8 +128,9 @@ def classify_max_sumfree(S: ElementSet) -> SumfreeClass:
     # Index-2 coset: translating by any member must give the subgroup itself.
     if len(S) == 1 << (r - 1):
         shifted = S.translate(S.min_element())
-        if is_subgroup(shifted):
-            return SumfreeClass("index_two_coset", coset_subgroup=span(shifted))
+        H = span(shifted)
+        if H.members == shifted:
+            return SumfreeClass("index_two_coset", coset_subgroup=H)
     # Five-point form: the period has index 16 and the projection is five
     # points spanning the rank-4 quotient with zero sum.
     if r >= 4:
@@ -232,12 +232,16 @@ def is_blocking(B: ElementSet) -> PredicateReport:
 
 def is_minimal_blocking(B: ElementSet) -> PredicateReport:
     """Blocking, and every point is on some line met only at that point. B ∖ {b}
-    still blocks iff C ∪ {b} is sum-free, iff b is not in 2C."""
-    base = is_blocking(B)
-    if not base:
-        return PredicateReport("minimal-blocking", False, witness=base.witness,
+    still blocks iff C ∪ {b} is sum-free, iff b is not in 2C. 2C is computed
+    once; a B that does not block takes its line from `is_blocking`."""
+    if 0 in B:
+        raise ValueError("blocking sets live on the nonzero points")
+    C = B.complement().nonzero()
+    two = two_a(C)
+    if not C.isdisjoint(two):
+        return PredicateReport("minimal-blocking", False, witness=is_blocking(B).witness,
                                detail="not blocking")
-    removable = B.difference(two_a(B.complement().nonzero()))
+    removable = B.difference(two)
     if len(removable):
         return PredicateReport("minimal-blocking", False,
                                witness={"removable": removable.min_element()})

@@ -52,10 +52,14 @@ of W are A ∩ (A + W), one sumset (`_removals_losing`). Round sets use this
 set form directly. For saturating sets W = U(A) ∖ A, and the one helper
 `_saturating_removable` gives the removable elements to
 `is_minimal_saturating`, the search profile and the `find_example` trimmer.
-`_two_and_unique` is the one source of 2A and U(A) as bits (one pass over the
-pairs up to `_PY_PAIR_LIMIT` pairs, a count table above) for `is_round`,
+`_two_and_unique` is the one source of 2A and U(A) as bits for `is_round`,
 `is_minimal_saturating`, `unique_sums`, the `find_example` trimmer and the
-shift rule of `structure`.
+shift rule of `structure`: one pass over the pairs i < j while
+n(n-1) <= `_PY_PAIR_LIMIT`, a count table above. Its pass makes two big-int
+updates per pair where `sumset`'s loop makes one, so it hands over at half
+the pairs: the loop takes 10.3-13.6 us against 11.2-12.6 us for the table
+at 66 pairs, and 20.7-22.9 against 13.1-13.6 us at 120 (ranks 4-8; 2 vCPUs,
+Python 3.11, numpy 2.4).
 
 Per element, a is in A + U(A) iff it has a unique partner, some b != a in
 A with N(a + b) = 2; call a redundant when it has none. Removing redundant
@@ -281,13 +285,14 @@ def _removals_losing(A: ElementSet, W: ElementSet) -> ElementSet:
 
 
 def _two_and_unique(A: ElementSet) -> tuple[int, int]:
-    """2A and U(A) as bits. While the pairs i < j fit the Python pair loop
-    (`_PY_PAIR_LIMIT`), from one pass over them: with `once` the sums met
-    at least once and `twice` those met again, 2A = once ∪ {0} and
-    U(A) = once ∖ twice. Otherwise from the count table."""
+    """2A and U(A) as bits. While n(n-1) <= `_PY_PAIR_LIMIT` (half the
+    pairs of `sumset`'s loop; module docstring), from one pass over the
+    pairs i < j: with `once` the sums met at least once and `twice` those
+    met again, 2A = once ∪ {0} and U(A) = once ∖ twice. Otherwise from the
+    count table."""
     elems = A.elements()
     n = len(elems)
-    if n * (n - 1) // 2 > _PY_PAIR_LIMIT:
+    if n * (n - 1) > _PY_PAIR_LIMIT:
         counts = rep_counts(A).counts
         return _mask_to_bits(counts != 0), _unique_nonzero(counts, A.rank).bits
     once = twice = 0
@@ -331,11 +336,14 @@ def is_sum_free(A: ElementSet) -> PredicateReport:
 
 
 def is_maximal_sum_free(A: ElementSet) -> PredicateReport:
-    """Maximal sum-free iff sum-free and A, 2A partition the group."""
-    sf = is_sum_free(A)
-    if not sf:
+    """Maximal sum-free iff sum-free and A, 2A partition the group. 2A is
+    computed once; an input that is not sum-free takes its line from
+    `is_sum_free`."""
+    two = two_a(A)
+    if not A.isdisjoint(two):
+        sf = is_sum_free(A)
         return PredicateReport("maximal-sum-free", False, witness=sf.witness, detail=sf.detail)
-    uncovered = A.union(two_a(A)).complement()
+    uncovered = A.union(two).complement()
     if len(uncovered):
         g = uncovered.min_element()
         return PredicateReport(
@@ -447,23 +455,26 @@ def s2_bound_check(B: ElementSet, C: ElementSet) -> PredicateReport:
 
 def sfnotround_check(S: ElementSet, kappa: int) -> PredicateReport:
     """Sum-free S with |S| > 2^(r-2) + kappa: every element of 2S has at least
-    kappa unordered representations."""
+    kappa unordered representations.
+
+    Both facts come from one count table N: S is sum-free iff S misses
+    supp N = 2S, and the witness is the least d != 0 with 0 < N(d) < 2 kappa
+    (0 is excluded: its count N(0) = |S| is not twice an unordered count)."""
     if kappa < 2:
         raise ValueError("kappa must be >= 2")
     r = S.rank
     if r < 2:
         raise ValueError("rank must be >= 2")
-    if not is_sum_free(S):
+    counts = rep_counts(S).counts
+    if S.bits & _mask_to_bits(counts != 0):
         raise ValueError("sfnotround_check needs a sum-free set")
     if len(S) <= (1 << (r - 2)) + kappa:
         raise ValueError("sfnotround_check needs |S| > 2^(r-2) + kappa")
-    table = rep_counts(S)
-    for c in table.support():
-        got = table.unordered(c)
-        if got < kappa:
-            return PredicateReport(
-                "sfnotround", False, witness={"element": c, "count": got, "kappa": kappa},
-            )
+    short = np.flatnonzero((counts[1:] > 0) & (counts[1:] < 2 * kappa))
+    if len(short):
+        d = int(short[0]) + 1
+        return PredicateReport("sfnotround", False,
+                               witness={"element": d, "count": int(counts[d]) // 2, "kappa": kappa})
     return PredicateReport("sfnotround", True)
 
 

@@ -75,6 +75,47 @@ def test_usage_errors_exit_two():
     assert code == 2
 
 
+def test_count_flags_are_checked_at_the_boundary():
+    # A negative count, a worker count below 1 and seconds that are negative
+    # or not finite are usage errors: exit 2, nothing on stdout.
+    for argv in (
+        ["fuzz", "kneser", "--r", "3", "--iters", "-2"],
+        ["fuzz", "round-props", "--r", "3", "--iters", "-4"],
+        ["enumerate", "any", "--r", "2", "--threads", "-3"],
+        ["enumerate", "any", "--r", "2", "--threads", "0"],
+        ["enumerate", "any", "--r", "2", "--budget-nodes", "-1"],
+        ["enumerate", "any", "--r", "2", "--budget-secs", "-1"],
+        ["enumerate", "any", "--r", "2", "--budget-secs", "nan"],
+        ["spectrum", "any", "--r", "2", "--budget-secs", "inf"],
+        ["spectrum", "any", "--r", "2", "--size-min", "-1"],
+        ["spectrum", "any", "--r", "2", "--size-max", "-1"],
+        ["verify", "classification", "--r", "5", "--threads", "0"],
+        ["verify", "factdt", "--budget-nodes", "-1"],
+        ["verify", "second-largest", "--budget-secs", "nan"],
+        ["find-example", "minimal-saturating", "--r", "3", "--size", "-2"],
+        ["find-example", "minimal-saturating", "--r", "3", "--size", "4", "--restarts", "-1"],
+    ):
+        code, payload, err = run_cli(argv)
+        assert (code, payload) == (2, None), argv
+        assert f"got '{argv[-1]}'" in err, argv
+    # Zero is a count, and one worker is the default.
+    for argv in (
+        ["fuzz", "kneser", "--r", "3", "--iters", "0"],
+        ["spectrum", "any", "--r", "2", "--size-max", "0", "--threads", "1",
+         "--budget-nodes", "0", "--budget-secs", "0"],
+        ["find-example", "minimal-saturating", "--r", "3", "--size", "4", "--restarts", "0"],
+    ):
+        assert run_cli(argv)[0] != 2, argv
+
+
+def test_set_literal_elements_must_be_integers_at_the_cli():
+    for literal, shown in (('{"r":2,"elements":[true]}', "True"),
+                           ('{"r":2,"elements":[1.5]}', "1.5"),
+                           ('{"r":2,"bits_hex":5}', "5")):
+        code, payload, err = run_cli(["check", "sum-free", "--set", literal])
+        assert (code, payload) == (2, None) and f"got {shown}" in err, literal
+
+
 def test_stdout_is_pure_json():
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

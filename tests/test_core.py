@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,16 @@ def test_set_literal_validation():
         ElementSet.from_json({"r": 4, "bits_hex": "ff"})  # wrong width
     with pytest.raises(ValueError):
         ElementSet.from_json({"elements": [1]})
+
+
+def test_set_literal_elements_must_be_integers():
+    # JSON true would read as element 1, and 1.5 would fail deep inside; the
+    # literal rejects both and names the entry.
+    for bad, shown in ((True, "True"), (1.5, "1.5"), (None, "None"), ("1", "'1'")):
+        with pytest.raises(ValueError, match=f"integers, got {re.escape(shown)}$"):
+            ElementSet.from_json({"r": 2, "elements": [1, bad]})
+    with pytest.raises(ValueError, match="bits_hex must be a string, got 5"):
+        ElementSet.from_json({"r": 2, "bits_hex": 5})
 
 
 def test_set_algebra_basics():

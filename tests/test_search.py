@@ -19,12 +19,14 @@ from f2sets import (
 )
 from f2sets import urgraph
 from f2sets.generators import linear_image, round_set_suite
-from f2sets.structure import decompose_round
+from f2sets import search
+from f2sets.structure import Decomposition, decompose_round
 from f2sets.rng import Xorshift64
 from f2sets.search import (
     MinimalSaturatingProfile,
     SearchBudget,
     _AuditLog,
+    _DeadlinePassed,
     _MinImage,
     _Enumerator,
     _can_cover,
@@ -32,6 +34,7 @@ from f2sets.search import (
     _recheck_canonical_prune,
     _recheck_cap_drop,
     _recheck_profile_prune,
+    _shift_engines,
     _subtree_worker,
     canonical_form,
     enumerate_classes,
@@ -368,14 +371,15 @@ def test_parallel_head_splits_into_enough_subtrees():
 
 
 def test_pool_task_stops_at_the_run_deadline():
-    # A task handed out after the run's time budget is spent visits one node.
+    # A task handed out after the run's time budget is spent visits no node:
+    # the canonicity test of its first child reads the clock and stops.
     head = _Enumerator(6, "minimal-saturating", "linear", 0, None, SearchBudget(), None)
     head.split(4)
     node = head.frontier[-1]
     started = time.monotonic() - 5
     args = (6, "minimal-saturating", "linear", 0, None, node, None, 1.0, started)
     hits, nodes, exceeded = _subtree_worker(args)
-    assert exceeded and nodes == 1 and not hits
+    assert exceeded and nodes == 0 and not hits
 
 
 @pytest.mark.parametrize("threads", [2, 4])
@@ -679,6 +683,25 @@ def test_verify_classification_r3():
     assert out["max_size"] == 4
 
 
+def test_rank_four_converse_reads_the_lattice_list(monkeypatch):
+    # The lattice pass confirms its 583 minimal saturating sets once each;
+    # the 1,143 shifted caps the converse builds are looked up in that list.
+    calls = []
+    real = search.is_minimal_saturating
+    monkeypatch.setattr(search, "is_minimal_saturating", lambda A: calls.append(A) or real(A))
+    out = verify_classification(4)
+    assert out["verdict"] and out["converse_checked"] == 1143
+    assert len(calls) == 583
+    # A built set missing from the list fails the converse, once for each of
+    # the six (cap, shift) pairs that build it.
+    minimal, max_sf = _lattice_scan(4)
+    dropped = Decomposition("saturating", 0, max_sf[0]).expand()
+    monkeypatch.setattr(search, "_lattice_scan",
+                        lambda r: ([A for A in minimal if A != dropped], max_sf))
+    out = verify_classification(4)
+    assert not out["converse_ok"] and out["counterexamples"] == [dropped.to_json()] * 6
+
+
 def test_verify_classification_r5_light_threshold():
     out = verify_classification(5, "light")
     assert out["verdict"] and out["complete"]
@@ -815,8 +838,8 @@ def _expand_tests(monkeypatch, r, predicate):
     calls = []
     real = search._is_canonical
 
-    def recording(A, action, seeds=()):
-        ok, cert, auts = real(A, action, seeds)
+    def recording(A, action, seeds=(), deadline=None):
+        ok, cert, auts = real(A, action, seeds, deadline)
         calls.append((A, list(seeds), ok, auts))
         return ok, cert, auts
 
@@ -955,3 +978,39 @@ def test_forged_span_entry_is_reported():
         {"kind": "span", "r": 5, "set": A.to_json(), "extra": {"kind": "linear", "cols": cols}}
         for cols in (identity, singular)
     ]
+
+
+def test_expired_deadline_stops_a_canonicity_test_at_once(monkeypatch):
+    # A canonical 32-subset of the rank-7 cap: its unbudgeted test walks
+    # about 53,000 nodes (about 0.4 s on 2 vCPUs); past the deadline the
+    # first walk node stops it, for either action and every translate.
+    A = canonical_form(els(7, random.Random(7).sample(range(64, 128), 32))).set
+    nodes = []
+    real = _MinImage._walk
+    monkeypatch.setattr(_MinImage, "_walk", lambda self, *args: nodes.append(1) or real(self, *args))
+    expired = time.monotonic() - 1
+    for B, action in ((A, "linear"), (A.with_zero(), "affine")):
+        nodes.clear()
+        with pytest.raises(_DeadlinePassed):
+            _is_canonical(B, action, deadline=expired)
+        assert len(nodes) == 1
+    for _, engine in itertools.islice(_shift_engines(A.with_zero(), [], expired), 3):
+        with pytest.raises(_DeadlinePassed):
+            engine.is_canonical()
+    nodes.clear()
+    assert _is_canonical(A, "linear")[0] and len(nodes) > 10_000
+
+
+def test_expired_deadline_leaves_the_child_unvisited_and_the_run_incomplete():
+    r = 7
+    budget = SearchBudget(max_seconds=1.0, started=time.monotonic() - 2)
+    log = _AuditLog(10, 0)
+    walker = _Enumerator(r, "sum-free", "linear", 0, 1, budget, log)
+    walker.expand(0, walker.profile.root(r), 0)
+    assert budget.exceeded and budget.nodes == 0 and walker.hits == {}
+    assert log.seen == 0
+    # Without a time budget the same child is tested and visited.
+    budget = SearchBudget()
+    walker = _Enumerator(r, "sum-free", "linear", 0, 1, budget, None)
+    walker.expand(0, walker.profile.root(r), 0)
+    assert budget.nodes == 1 and walker.hits == {1: [2]} and not budget.exceeded

@@ -368,11 +368,22 @@ def test_blocking_reports_match_the_line_scan():
 
 def test_minimal_blocking_at_rank_10_is_fast():
     # The per-point line rescan this replaced took about 29 s on a 2-vCPU
-    # host; through the complementary cap it is two sumsets.
+    # host; through the complementary cap it is one sumset.
     B = construct_coset(10).complement().nonzero()
     t0 = time.perf_counter()
     assert is_minimal_blocking(B)
     assert time.perf_counter() - t0 < 5.0
+
+
+def test_minimal_blocking_takes_one_sumset(monkeypatch):
+    # The cap complement of the rank-12 coset: one 2C serves the blocking
+    # test and the removal test.
+    B = construct_coset(12).complement().nonzero()
+    calls = collections.Counter()
+    real = sumsets.sumset
+    monkeypatch.setattr(sumsets, "sumset", lambda *sets: calls.update(["sumset"]) or real(*sets))
+    assert is_minimal_blocking(B)
+    assert calls == {"sumset": 1}
 
 
 def test_blocking_duality_random():

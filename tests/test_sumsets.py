@@ -24,7 +24,9 @@ from f2sets import (
     two_a,
     unique_sums,
 )
+from f2sets import sumsets
 from f2sets.core import indices_to_bits
+from f2sets.fuzz import qualifying_sum_free_sets
 from f2sets.generators import sharpness_pair
 from f2sets.sumsets import (
     _PY_PAIR_LIMIT,
@@ -35,6 +37,7 @@ from f2sets.sumsets import (
     _cross_counts_sparse,
     _takes_pairs,
     _two_and_unique,
+    RepCountTable,
     _unique_nonzero,
     php_covered,
 )
@@ -341,6 +344,78 @@ def test_pair_pass_matches_the_count_table():
         assert _two_and_unique(A) == (table.support().bits, _unique_nonzero(table.counts, r).bits)
         sizes.add(len(A))
     assert max(sizes) * (max(sizes) - 1) // 2 > _PY_PAIR_LIMIT
+
+
+@pytest.mark.parametrize("limit", [0, 10**6])
+def test_both_sides_of_the_pair_pass_equal_the_oracle(monkeypatch, limit):
+    # Limit 0 sends every set to the count table, 10^6 every set to the loop.
+    rnd = random.Random(23)
+    monkeypatch.setattr(sumsets, "_PY_PAIR_LIMIT", limit)
+    for r in range(4, 10):
+        for n in range(10, min(17, 1 << r) + 1):
+            A = els(r, rnd.sample(range(1 << r), n))
+            two, unique = _two_and_unique(A)
+            assert unique == ElementSet.from_elements(r, oracle_unique_sums(A)).bits
+            assert two == ElementSet.from_elements(r, oracle_sumset(A, A)).bits
+
+
+def test_pair_pass_hands_over_at_half_the_pairs(monkeypatch):
+    # The pass makes two big-int updates a pair, so it stops at n(n-1) > _PY_PAIR_LIMIT.
+    tables = []
+    monkeypatch.setattr(sumsets, "rep_counts", lambda A: tables.append(len(A)) or rep_counts(A))
+    for n in (11, 12):
+        _two_and_unique(els(8, range(n)))
+    assert 11 * 10 <= _PY_PAIR_LIMIT < 12 * 11
+    assert tables == [12]
+
+
+def _counting(monkeypatch, *names):
+    """Wrap the named sumsets functions; the dict counts their calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _real=getattr(sumsets, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(sumsets, name, counted)
+    return calls
+
+
+def test_maximal_sum_free_takes_one_sumset(monkeypatch):
+    coset = ElementSet(12, ((1 << 2048) - 1) << 2048)  # the points with the top bit set
+    calls = _counting(monkeypatch, "sumset")
+    assert is_maximal_sum_free(coset)
+    assert calls == {"sumset": 1}
+    # A failing input keeps the witnesses of the parts.
+    lined = coset.with_element(1)
+    assert is_maximal_sum_free(lined).witness == is_sum_free(lined).witness
+    assert is_maximal_sum_free(coset.without_element(2048)).witness == {"adjoinable": 2048}
+
+
+def test_sfnotround_reads_one_count_table(monkeypatch):
+    S = qualifying_sum_free_sets(6, 2)[0]
+    calls = _counting(monkeypatch, "sumset", "rep_counts")
+    assert sfnotround_check(S, 2)
+    assert calls == {"sumset": 0, "rep_counts": 1}
+
+
+def test_sfnotround_reports_a_forged_short_count(monkeypatch):
+    S = qualifying_sum_free_sets(5, 2)[0]
+    counts = rep_counts(S).counts
+    d = int(np.flatnonzero(counts)[-1])
+
+    def forge(x):  # the table of S with N(x) set to 2
+        table = counts.copy()
+        table[x] = 2
+        monkeypatch.setattr(sumsets, "rep_counts", lambda _: RepCountTable(S.rank, len(S), table))
+
+    forge(d)  # one pair left at d: count 1 < kappa
+    rep = sfnotround_check(S, 2)
+    assert not rep and rep.witness == {"element": d, "count": 1, "kappa": 2}
+    forge(0)  # N(0) = |S| is no pair count; a small one is ignored
+    assert sfnotround_check(S, 2)
+    forge(S.min_element())  # a count on S itself: not sum-free
+    with pytest.raises(ValueError, match="sum-free"):
+        sfnotround_check(S, 2)
 
 
 def test_round_examples():
