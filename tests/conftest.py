@@ -265,3 +265,82 @@ def oracle_decompose_round(A: ElementSet, sum_free=None) -> list:
         if check(base):
             out.append(Decomposition("round", g, base))
     return out
+
+
+def oracle_min_image(elems, bound=None, testing=False):
+    """The linear minimal-image walk without the block mask or seeds.
+
+    Preimages are chosen for the slots 1, 2, 4, ... in ascending order, and
+    every member outside the span is tried for the next slot in ascending
+    order; slots inside the span are forced, and a branch ends at its first
+    slot above the incumbent (the set's own word, or `bound`). Siblings are
+    skipped only by the automorphisms that tied placements reveal on the way.
+    Returns the least of the set's images and the bound as its ascending
+    members, or with `testing` whether no image of the nonzero points
+    `elems` precedes the bound."""
+    elems = sorted(elems)
+    members = set(elems)
+    inc = list(elems if bound is None else bound)
+    auts = []
+    first = []
+
+    class Improved(Exception):
+        pass
+
+    def place(idx, slots):
+        # Compare the next placed slots with the incumbent from position idx.
+        for slot in slots:
+            if idx == len(inc):
+                inc.append(slot)
+            elif slot != inc[idx]:
+                if slot > inc[idx]:
+                    return None
+                if testing:
+                    raise Improved
+                del inc[idx:]
+                inc.append(slot)
+                first.clear()
+            idx += 1
+        return idx
+
+    def walk(plist, image, idx):
+        if idx == len(elems):
+            if not first:
+                first.append({q: x for x, q in image.items()})
+            else:
+                gamma = {x: first[0][image[x]] for x in elems}
+                if any(gamma[x] != x for x in elems):
+                    auts.append(gamma)
+            return
+        c = 1 << len(plist)
+        if place(idx, [c]) is None:
+            return
+        explored = set()
+        gens = []
+        scanned = 0
+        for a in elems:
+            if a in image or a in explored:
+                continue
+            child = dict(image)
+            for v, q in image.items():
+                child[v ^ a] = q | c
+            block = sorted(child[x] for x in elems if x in child and x not in image)
+            nxt = place(idx + 1, block[1:])
+            if nxt is not None:
+                walk(plist + [a], child, nxt)
+            if len(auts) > scanned:
+                gens += [g for g in auts[scanned:] if all(g[p] == p for p in plist)]
+                scanned = len(auts)
+            frontier = [a]
+            while gens and frontier:
+                y = frontier.pop()
+                for g in gens:
+                    if g[y] not in explored:
+                        explored.add(g[y])
+                        frontier.append(g[y])
+
+    try:
+        walk([], {0: 0}, 0)
+    except Improved:
+        return False
+    return True if testing else inc

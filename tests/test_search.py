@@ -49,7 +49,7 @@ from f2sets.search import (
     _word_less,
 )
 
-from conftest import apply_map, oracle_translate
+from conftest import apply_map, oracle_min_image, oracle_translate
 
 
 def els(r, elements):
@@ -96,6 +96,8 @@ def test_canonical_matches_full_orbit_minimum(gl3):
         A = ElementSet(3, bits)
         assert canonical_form(A, "linear").set.bits == best
         assert _is_canonical(A, "linear")[0] == (bits == best)
+        assert sum(1 << c for c in oracle_min_image(A.elements())) == best
+        assert oracle_min_image(A.elements(), testing=True) == (bits == best)
 
 
 def test_class_count_of_triples_matches_burnside_oracle(gl3):
@@ -849,14 +851,6 @@ def _expand_tests(monkeypatch, r, predicate):
     return calls
 
 
-def _unseeded_unmasked(monkeypatch, A):
-    monkeypatch.setattr(_MinImage, "_block_mask", lambda self, plist, idx, todo: todo)
-    try:
-        return _is_canonical(A, "linear")[0]
-    finally:
-        monkeypatch.undo()
-
-
 def _is_linear_automorphism(A, g):
     """Whether the dict g on the nonzero points of A is the restriction of an
     invertible linear map that fixes A setwise."""
@@ -876,7 +870,7 @@ def test_seeded_masked_verdicts_match_the_plain_engine(monkeypatch, gl4, r, pred
     assert sum(bool(seeds) for _, seeds, _, _ in calls) > 10
     minima = _orbit_minima(4, gl4, [A.bits for A, *_ in calls]) if r == 4 else None
     for i, (A, seeds, ok, auts) in enumerate(calls):
-        assert ok == _unseeded_unmasked(monkeypatch, A), A.elements()
+        assert ok == oracle_min_image(A.elements(), testing=True), A.elements()
         if minima is not None:
             assert ok == (A.bits == minima[i]), A.elements()
         # Every recorded map, seeds included, maps the set onto itself.
@@ -885,27 +879,82 @@ def test_seeded_masked_verdicts_match_the_plain_engine(monkeypatch, gl4, r, pred
         assert auts[:len(seeds)] == seeds or not ok
 
 
-def test_translate_walks_match_the_plain_engine(monkeypatch):
+def test_translate_walks_match_the_plain_engine():
     # The affine test walks each translate against the set's own word, seeded
     # with the maps that fix the shift, and the affine form walks it against
     # the best form so far. At rank 5, past the brute-force oracles, both
-    # agree with the least unmasked linear form over all translates.
+    # agree with the least unpruned linear form over all translates.
     rnd = random.Random(19)
     sets = [ElementSet(5, sum(1 << e for e in rnd.sample(range(32), rnd.randint(3, 9))))
             for _ in range(40)]
     forms = [canonical_form(A, "affine").set for A in sets]
-    monkeypatch.setattr(_MinImage, "_block_mask", lambda self, plist, idx, todo: todo)
     for A, form in zip(sets, forms):
         best = None
         for g in A:
-            cand = canonical_form(A.translate(g), "linear", allow_zero=True).set.bits
+            word = oracle_min_image(A.translate(g).nonzero().elements())
+            cand = sum(1 << c for c in word) | 1
             if best is None or _word_less(cand, best):
                 best = cand
         assert form.bits == best
-    monkeypatch.undo()
     for A, form in zip(sets, forms):
         assert _is_canonical(form, "affine")[0]
         assert _is_canonical(A, "affine")[0] == (A == form)
+
+
+def test_engine_outputs_are_pinned():
+    # Every canonicity test of three enumerations, with its seeds, verdict,
+    # certificate and recorded maps in order, and both canonical forms of a
+    # seeded corpus: random sets at ranks 3-7 and the enumerated classes.
+    import f2sets.search as search
+
+    calls = []
+    real = search._is_canonical
+
+    def recording(A, action, seeds=(), deadline=None):
+        ok, cert, auts = real(A, action, seeds, deadline)
+        calls.append([A.rank, A.bits, action, [sorted(g.items()) for g in seeds], ok, cert,
+                      [sorted(g.items()) for g in auts]])
+        return ok, cert, auts
+
+    search._is_canonical = recording
+    try:
+        reports = [enumerate_classes(5, "minimal-saturating"),
+                   enumerate_classes(5, "any", action="affine", size_max=13),
+                   enumerate_classes(6, "minimal-saturating", size_max=13)]
+    finally:
+        search._is_canonical = real
+    assert len(calls) == 1099
+    digest = hashlib.sha1(json.dumps(calls).encode()).hexdigest()
+    assert digest == "5143a58ffa5a4a3649bc14adf4307becd5e01d64"
+    rnd = random.Random(24)
+    sets = [els(r, rnd.sample(range(1 << r), rnd.randint(1, min(1 << r, 20))))
+            for r in range(3, 8) for _ in range(12)]
+    sets += [A for report in reports for e in report.entries for A in e.representatives]
+    assert len(sets) == 192
+    forms = [[canonical_form(A, action, allow_zero=True).set.bits for action in ("linear", "affine")]
+             for A in sets]
+    digest = hashlib.sha1(json.dumps(forms).encode()).hexdigest()
+    assert digest == "f0ba0eebfb9222b32e28b13e4ef81cec1d1a1f08"
+
+
+@pytest.mark.parametrize("k", [24, 32])
+def test_dense_rank_seven_cap_subsets(k):
+    # Canonical k-subsets of the rank-7 cap {x >= 64}, the dense regime where
+    # the walk meets many tied candidates per node.
+    from f2sets.generators import random_invertible
+
+    A = canonical_form(els(7, random.Random(k).sample(range(64, 128), k))).set
+    ok, cert, auts = _is_canonical(A, "linear")
+    assert ok and cert is None
+    assert all(_is_linear_automorphism(A, g) for g in auts)
+    rng = Xorshift64(k)
+    for _ in range(3):
+        B = linear_image(A, random_invertible(rng, 7))
+        assert canonical_form(B, "linear").set == A
+        ok, cert, _ = _is_canonical(B, "linear")
+        assert ok == (B == A)
+        if not ok:
+            assert _recheck_canonical_prune(B, cert)
 
 
 class _CountingProfile:
