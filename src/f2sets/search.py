@@ -4,12 +4,14 @@ Canonical forms are lexicographically minimal orbit images: set X precedes Y
 when the smallest element in their symmetric difference lies in X. The minimal
 image under the invertible linear maps is computed by a backtracking search
 that assigns preimages slot by slot. Because slots are claimed greedily in
-ascending order, the image-side basis is always 1, 2, 4, ..., which makes
-span membership a range test and preimage lookup a bit decomposition. Only
-the candidate preimages whose block of slots can tie or precede the best word
-so far are walked, read off cached translates of the set. The walk takes a
-bound (the best word so far) and seeds (known automorphisms, which skip
-sibling branches from its root on).
+ascending order, the image-side basis is always 1, 2, 4, ..., so span
+membership is a range test, and each node carries the table of its span's
+points by image. One pass over cached translates of the set sorts every
+candidate preimage by how its block of slots compares with the best word so
+far: behind (never walked), tied with it exactly (walked, with no member left
+to check) or ahead (a witness, or the new best word). The walk takes a bound
+(the best word so far) and seeds (known automorphisms, which skip sibling
+branches from its root on).
 
 Enumeration is orderly generation: a set is kept only if it is canonical, and
 children extend by elements above the current maximum. Removing the largest
@@ -83,31 +85,20 @@ def _word_less(x_bits: int, y_bits: int) -> bool:
     return bool(x_bits & (diff & -diff))
 
 
-def _span_image(y: int, plist, doms) -> int:
-    """Image of y in span(plist) under plist[j] -> 1 << j: bit j is set exactly
-    when y lies outside doms[j], the span mask of plist[:j]."""
-    q = 0
-    j = len(plist)
-    while y:
-        j -= 1
-        if not (doms[j] >> y) & 1:
-            q |= 1 << j
-            y ^= plist[j]
-    return q
-
-
 class _MinImage:
     """Backtracking minimal-image engine for the linear action on nonzero sets.
 
     Slots of the image word are decided in ascending order against the best
     word seen so far, the incumbent: the set's own word unless a bound is
     given. Preimage basis vectors pair with image slots 1, 2, 4, ... so the
-    image span is always the range [0, 2^k). Images are computed only when
-    needed, from the chosen preimages and their span masks. Seeds are known
-    automorphisms of the set (dicts on its points); they skip siblings from
-    the root of the walk on and are recorded first. With a deadline (a
-    `time.monotonic` value) every walk node reads the clock, and a walk
-    past it raises `_DeadlinePassed`.
+    image span is always the range [0, 2^k), and each node carries the table
+    of its span's points by image. A node sorts all candidates for its next
+    basis slot at once, by how their block of slots compares with the
+    incumbent's (docs/search-pruning.md §3). Seeds are known automorphisms of
+    the set (dicts on its points); they skip siblings from the root of the
+    walk on and are recorded first. With a deadline (a `time.monotonic`
+    value) every walk node reads the clock, and a walk past it raises
+    `_DeadlinePassed`.
     """
 
     def __init__(self, r: int, elems: tuple[int, ...], seeds=(), deadline=None):
@@ -116,7 +107,6 @@ class _MinImage:
         self.elems = elems
         self.size = len(elems)
         self.setbits = sum(1 << x for x in elems)
-        self.swaps = _swap_table(r)
         self.seeds = list(seeds)
         self.auts: list[dict[int, int]] = []
         self.translates: dict[int, int] = {}  # v -> the set + v, as bits
@@ -145,164 +135,159 @@ class _MinImage:
         self.incumbent = list(self.elems if bound is None else bound)
         self.testing = testing
         self.auts = list(self.seeds)
-        self._version = 0  # improvements so far
-        self._first_map: dict[int, int] | None = None
-        self._walk((), (1,), 0, 0, 0)
+        # Fixed points of each recorded automorphism, as a mask.
+        self._fixed = [sum(1 << x for x, y in g.items() if x == y) for g in self.auts]
+        self._first_vs = None  # span table of the first tied placement
+        self._blocks: dict[int, tuple[list[int], int]] = {}  # idx -> Q*, as a list and a mask
+        self._walk((0,), 0, self.setbits, 0)
 
-    # state: plist = chosen preimages (the image of plist[i] is 1 << i),
-    # doms[j] = span mask of plist[:j] (doms[-1] spans all of plist), det =
-    # bits of images of the members inside the span, f = last decided slot,
-    # idx = members placed so far.
+    # state: vs[q] = the point with image q of the span of the chosen
+    # preimages (vs[2^j] is the preimage of slot 2^j), chosen = the chosen
+    # preimages as a mask, rest = the members outside the span, idx =
+    # members placed so far (those in the span).
 
-    def _walk(self, plist, doms, det, f, idx) -> None:
+    def _walk(self, vs, chosen, rest, idx) -> None:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise _DeadlinePassed
-        inc = self.incumbent
-        # Slots inside the span are forced: settle the covered members above f
-        # in ascending order, abandoning the branch at the first excess.
-        above = det >> (f + 1)
-        while above:
-            low = above & -above
-            above ^= low
-            c = f + low.bit_length()
-            if idx == len(inc):
-                inc.append(c)
-            elif c != inc[idx]:
-                if c > inc[idx]:
-                    return
-                self._improve(c, idx, plist)
-            idx += 1
-
-        if det.bit_count() == self.size:
+        if idx == self.size:
             # The word matched the incumbent; harvest the automorphism.
-            self._completed(plist, doms)
+            self._completed(vs)
             return
-
         # Next member must take the first free slot; branch over preimages.
-        k = len(plist)
-        c = 1 << k
-        dom = doms[k]
+        inc = self.incumbent
+        c = len(vs)
         if idx == len(inc):
             inc.append(c)
         elif c != inc[idx]:
             if c > inc[idx]:
                 return
-            a = next(x for x in self.elems if not (dom >> x) & 1)
-            self._improve(c, idx, plist + (a,))
-        setbits = self.setbits
-        swaps = self.swaps
-        explored: set[int] = set()
+            self._improve(idx, [c], vs, (rest & -rest).bit_length() - 1)
+        tied, ahead, block = self._classify(vs, idx, rest)
+        if not (tied | ahead):
+            return
+        todo = rest
+        explored = 0  # candidates in orbits already walked
+        walked = None  # the last candidate walked, its orbit not yet explored
         gens: list[dict[int, int]] = []
         scanned = 0
-        todo = setbits & ~dom
-        key = mask = None
         while True:
-            # Keep only the candidates whose block c | q can tie or precede
-            # the incumbent's; recompute after an improvement or growth.
-            if key != (self._version, len(inc)):
-                key = (self._version, len(inc))
-                mask = self._block_mask(plist, idx, todo)
-            pool = todo & mask
+            pool = (tied | ahead) & todo & ~explored
+            if pool and walked is not None:
+                # Siblings reachable from the last one walked by an
+                # automorphism fixing the chosen preimages explore the same
+                # image words; skip them. Automorphisms are only ever
+                # appended, so only the new ones need the filter.
+                auts = self.auts
+                if len(auts) > scanned:
+                    fixed = self._fixed
+                    gens.extend(auts[i] for i in range(scanned, len(auts)) if not chosen & ~fixed[i])
+                    scanned = len(auts)
+                if gens:
+                    frontier = [walked]
+                    while frontier:
+                        y = frontier.pop()
+                        for g in gens:
+                            z = g[y]
+                            if not (explored >> z) & 1:
+                                explored |= 1 << z
+                                frontier.append(z)
+                    pool &= ~explored
             if not pool:
                 break
             low = pool & -pool
             todo &= -(low << 1)
-            a = low.bit_length() - 1
-            if a in explored:
-                continue
-            # coset = dom translated by a (core.translate_bits, inlined).
-            coset = dom
-            for s, m in swaps:
-                if a & s:
-                    coset = ((coset & m) << s) | ((coset >> s) & m)
-            # Members of the new coset x = a + y take images c | image(y);
-            # _span_image, inlined.
-            det2 = det
-            hits = setbits & coset
-            while hits:
-                low = hits & -hits
-                hits ^= low
-                y = (low.bit_length() - 1) ^ a
-                q = c
-                j = k
-                while y:
-                    j -= 1
-                    if not (doms[j] >> y) & 1:
-                        q |= 1 << j
-                        y ^= plist[j]
-                det2 |= 1 << q
-            self._walk(plist + (a,), doms + (dom | coset,), det2, c, idx + 1)
-            # Siblings reachable from a by an automorphism fixing the chosen
-            # preimages explore the same image words; skip them. Automorphisms
-            # are only ever appended, so only the new ones need the filter.
-            auts = self.auts
-            if len(auts) > scanned:
-                gens.extend(g for g in auts[scanned:] if all(g[p] == p for p in plist))
-                scanned = len(auts)
-            if gens:
-                frontier = [a]
-                explored.add(a)
-                while frontier:
-                    y = frontier.pop()
-                    for g in gens:
-                        z = g[y]
-                        if z not in explored:
-                            explored.add(z)
-                            frontier.append(z)
+            a = walked = low.bit_length() - 1
+            if ahead & low:
+                # a's block precedes the incumbent's: a witness in test mode,
+                # otherwise the new incumbent's block.
+                block = [0] + [q for q in range(1, c) if (self.setbits >> (a ^ vs[q])) & 1]
+                self._improve(idx + 1, [c | q for q in block[1:]], vs, a)
+            # The child's span adds the coset a + span, whose members are
+            # a + vs[q] for q in a's block.
+            left = rest
+            for q in block:
+                left ^= 1 << (a ^ vs[q])
+            self._walk(vs + tuple([a ^ v for v in vs]), chosen | low, left, idx + len(block))
+            if ahead & low:
+                # The remaining candidates against the new incumbent.
+                tied, ahead, block = self._classify(vs, idx, rest)
 
-    def _block_mask(self, plist, idx: int, todo: int) -> int:
-        """The candidate preimages a in todo for slot c = 2^k whose block can
-        tie or precede the incumbent's. With v_q the point of span(plist)
-        with image q, the block of a is c and the slots c | q with a + v_q in
-        the set. Going up q through the incumbent's members inside the block,
-        a candidate lacking one of them falls behind, and one holding a slot
-        the incumbent lacks goes ahead of it for good (docs/search-pruning.md
-        §3). The translates of the set are cached per run."""
-        inc = self.incumbent
-        c = 1 << len(plist)
+    def _classify(self, vs, idx: int, todo: int) -> tuple[int, int, list[int]]:
+        """(tied, ahead, Q*) for the candidates a in todo for slot c = |vs|,
+        with Q* the incumbent's block (`_block`). The block of a is c and the
+        slots c | q with a + vs[q] in the set. Going up q through 1 ... c - 1
+        with T_q the set + vs[q], a candidate first lacking a slot of Q*
+        falls behind, first holding one Q* lacks goes ahead, and one never
+        differing ties: its block is Q*. The translates are cached per run.
+        In form mode an incumbent that ends at slot c has no block yet, and
+        every candidate counts as ahead."""
+        got = self._block(idx)
+        if got is None:
+            return 0, todo, [0]
+        block, slots = got
         translates = self.translates
-        vs = [0] * c
         tied, ahead = todo, 0
-        q = 0
-        pos = idx + 1
-        while tied and pos < len(inc) and inc[pos] < 2 * c:
-            top = inc[pos] - c
-            pos += 1
-            while q < top:
-                q += 1
-                low = q & -q
-                v = vs[q] = vs[q ^ low] ^ plist[low.bit_length() - 1]
-                t = translates.get(v)
-                if t is None:
-                    t = translates[v] = translate_bits(self.setbits, v, self.r)
-                if q == top:
-                    tied &= t
-                else:
-                    ahead |= tied & t
-                    tied &= ~t
-        return tied | ahead
+        for q in range(1, len(vs)):
+            v = vs[q]
+            t = translates.get(v)
+            if t is None:
+                t = translates[v] = translate_bits(self.setbits, v, self.r)
+            if (slots >> q) & 1:
+                tied &= t
+            else:
+                ahead |= tied & t
+                tied &= ~t
+            if not tied:
+                break
+        return tied, ahead, block
 
-    def _improve(self, c: int, idx: int, plist) -> None:
-        """Slot c beats the incumbent at position idx: a witness in test mode,
-        otherwise the start of a new incumbent."""
+    def _block(self, idx: int):
+        """(Q*, Q* as a mask) for the incumbent's block at position idx, of
+        slot c = inc[idx]: its members from idx on below 2c, less c. Cached
+        until the incumbent changes; None while it ends at slot c."""
+        got = self._blocks.get(idx)
+        if got is None:
+            inc = self.incumbent
+            known = len(inc)
+            if known == idx + 1 < self.size:
+                return None
+            c = inc[idx]
+            block = [0]
+            slots = 0
+            pos = idx + 1
+            while pos < known and inc[pos] < 2 * c:
+                q = inc[pos] - c
+                block.append(q)
+                slots |= 1 << q
+                pos += 1
+            got = self._blocks[idx] = block, slots
+        return got
+
+    def _improve(self, idx: int, slots: list[int], vs, a: int) -> None:
+        """The slots from position idx on beat the incumbent: in test mode a
+        witness map from the chosen preimages and a, the preimage of slot
+        |vs|; otherwise the new incumbent's slots."""
         if self.testing:
-            raise _NotCanonical(self._witness(plist))
+            plist = [vs[1 << j] for j in range(len(vs).bit_length() - 1)]
+            raise _NotCanonical(self._witness(plist + [a]))
         del self.incumbent[idx:]
-        self.incumbent.append(c)
-        self._version += 1
-        self._first_map = None
+        self.incumbent.extend(slots)
+        self._blocks.clear()
+        self._first_vs = None
 
-    def _completed(self, plist, doms) -> None:
+    def _completed(self, vs) -> None:
         """A full placement tied the incumbent: record the automorphism it
-        induces relative to the first such placement."""
-        image = {x: _span_image(x, plist, doms) for x in self.elems}
-        if self._first_map is None:
-            self._first_map = image
-            self._first_inverse = {v: k for k, v in image.items()}
+        induces relative to the first such placement, vs[q] -> first[q] for
+        every slot q of the word."""
+        first = self._first_vs
+        if first is None:
+            self._first_vs = vs
             return
-        gamma = {x: self._first_inverse[image[x]] for x in self.elems}
-        if any(gamma[x] != x for x in self.elems):
+        gamma = {vs[q]: first[q] for q in self.incumbent}
+        fixed = sum(1 << x for x, y in gamma.items() if x == y)
+        if fixed != self.setbits:
             self.auts.append(gamma)
+            self._fixed.append(fixed)
 
     def _witness(self, plist) -> list[int]:
         """Column images of a full invertible map sending the set strictly below
