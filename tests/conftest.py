@@ -268,7 +268,7 @@ def oracle_decompose_round(A: ElementSet, sum_free=None) -> list:
 
 
 def oracle_min_image(elems, bound=None, testing=False):
-    """The linear minimal-image walk without the block mask or seeds.
+    """The linear minimal-image walk without the block classification or seeds.
 
     Preimages are chosen for the slots 1, 2, 4, ... in ascending order, and
     every member outside the span is tried for the next slot in ascending
@@ -279,7 +279,6 @@ def oracle_min_image(elems, bound=None, testing=False):
     members, or with `testing` whether no image of the nonzero points
     `elems` precedes the bound."""
     elems = sorted(elems)
-    members = set(elems)
     inc = list(elems if bound is None else bound)
     auts = []
     first = []

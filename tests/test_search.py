@@ -18,7 +18,7 @@ from f2sets import (
     unique_sums,
 )
 from f2sets import urgraph
-from f2sets.generators import linear_image, round_set_suite
+from f2sets.generators import linear_image, random_invertible, round_set_suite
 from f2sets import search
 from f2sets.structure import Decomposition, decompose_round
 from f2sets.rng import Xorshift64
@@ -830,7 +830,7 @@ def test_round_property_check_outputs_are_pinned(monkeypatch):
     assert digest == "e81c29d95163dadd18168106e190e1fc665e1573b06a65459be81128a8dcee33"
 
 
-# -- seeds, the block mask and the span rule
+# -- seeds, block classification and the span rule
 
 
 def _expand_tests(monkeypatch, r, predicate):
@@ -901,12 +901,10 @@ def test_translate_walks_match_the_plain_engine():
         assert _is_canonical(A, "affine")[0] == (A == form)
 
 
-def test_engine_outputs_are_pinned():
+def test_engine_outputs_are_pinned(monkeypatch):
     # Every canonicity test of three enumerations, with its seeds, verdict,
     # certificate and recorded maps in order, and both canonical forms of a
     # seeded corpus: random sets at ranks 3-7 and the enumerated classes.
-    import f2sets.search as search
-
     calls = []
     real = search._is_canonical
 
@@ -916,13 +914,11 @@ def test_engine_outputs_are_pinned():
                       [sorted(g.items()) for g in auts]])
         return ok, cert, auts
 
-    search._is_canonical = recording
-    try:
-        reports = [enumerate_classes(5, "minimal-saturating"),
-                   enumerate_classes(5, "any", action="affine", size_max=13),
-                   enumerate_classes(6, "minimal-saturating", size_max=13)]
-    finally:
-        search._is_canonical = real
+    monkeypatch.setattr(search, "_is_canonical", recording)
+    reports = [enumerate_classes(5, "minimal-saturating"),
+               enumerate_classes(5, "any", action="affine", size_max=13),
+               enumerate_classes(6, "minimal-saturating", size_max=13)]
+    monkeypatch.undo()
     assert len(calls) == 1099
     digest = hashlib.sha1(json.dumps(calls).encode()).hexdigest()
     assert digest == "5143a58ffa5a4a3649bc14adf4307becd5e01d64"
@@ -941,13 +937,12 @@ def test_engine_outputs_are_pinned():
 def test_dense_rank_seven_cap_subsets(k):
     # Canonical k-subsets of the rank-7 cap {x >= 64}, the dense regime where
     # the walk meets many tied candidates per node.
-    from f2sets.generators import random_invertible
-
     A = canonical_form(els(7, random.Random(k).sample(range(64, 128), k))).set
     ok, cert, auts = _is_canonical(A, "linear")
     assert ok and cert is None
     assert all(_is_linear_automorphism(A, g) for g in auts)
     rng = Xorshift64(k)
+    rejected = 0
     for _ in range(3):
         B = linear_image(A, random_invertible(rng, 7))
         assert canonical_form(B, "linear").set == A
@@ -955,6 +950,8 @@ def test_dense_rank_seven_cap_subsets(k):
         assert ok == (B == A)
         if not ok:
             assert _recheck_canonical_prune(B, cert)
+            rejected += 1
+    assert rejected
 
 
 class _CountingProfile:
