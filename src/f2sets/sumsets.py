@@ -12,24 +12,30 @@ Sum kernels, one per regime, all exact:
   * 2^r, `_SPARSE_PRODUCT_LIMIT`): `_takes_pairs`, the one regime test of
   `sumset` and `_cross_counts`. `sumset` scatters the XORs into an
   indicator, count tables bincount them. The kernel costs about 3.5 ns a
-  pair, the dense table a fixed 20-40 us plus 12-50 ns a group element, so
-  the dense table wins from about 64 pairs per point at rank 6, 32-48 at
-  rank 7, 24 at rank 8, 12-16 at rank 9, 8-12 at rank 10 and under 8 from
-  rank 11 (sweep in BENCH_9.json; 2 vCPUs, numpy 2.4, OpenBLAS 0.3.31).
-  `_SPARSE_PAIRS_PER_POINT` = 16 is where ranks 9-10 cross. It costs up to
+  pair, the dense table a fixed 15-40 us plus about 13 ns a group element
+  at rank 14, so the dense table wins from about 64 pairs per point at
+  rank 6, 24-48 at rank 7, 24 at rank 8, 8-16 at rank 9, 8 at ranks 10-11
+  and at most 4 from rank 12 (sweeps in BENCH_9.json and, with float32
+  forward passes, BENCH_25.json; 2 vCPUs, numpy 2.4, OpenBLAS 0.3.31).
+  `_SPARSE_PAIRS_PER_POINT` = 16 is where rank 9 crosses. It costs up to
   1.7x on 20-40 us calls at ranks 5-7, and keeps every table of a
   classification run (at most 16 pairs per point) on this kernel.
   `_SPARSE_PRODUCT_LIMIT` = 2^22 caps the XOR array at 32 MB.
 - Walsh-Hadamard dense (`_cross_counts_dense`), at every rank: N =
   H(Hb * Hc) / 2^r for the 0/1 tables b, c. `_walsh` applies H_r as a
   Kronecker product of Hadamard factors of rank <= `_WALSH_FACTOR_RANK` =
-  5, one float64 BLAS matmul each: 11-14 us at rank 10, 4-5 ms at rank 18
-  and 17-21 ms at rank 20, against 0.13-0.15, 21-28 and 112-120 ms for the
-  int64 radix-2 butterflies it replaced. Up to rank 12 factor ranks 4-7
-  differ by at most 1.5x; from rank 13 factors of rank 6-7 take up to 3x
-  longer than rank 5, and rank 4 is 1.2-1.5x slower at ranks 5, 9 and 10
-  but faster at ranks 15 and 20. Exact by the bound in
-  `_cross_counts_dense`.
+  5, one BLAS matmul each, in the float dtype of its input. The forward
+  passes run in float32: each value is a signed sum of distinct 0/1
+  entries, at most |B| <= 2^24 = 2^MAX_RANK, so float32 holds it exactly.
+  The product and the inverse run in float64, below 2^(2r) <= 2^48. One
+  float32 transform takes 0.34-0.38 ms at rank 16, 3.2-3.4 ms at rank 20
+  and 0.11-0.13 s at rank 24, against 0.88-0.95 ms, 14-17 ms and
+  0.23-0.26 s in float64 (BENCH_25.json), and 112-120 ms at rank 20 for the
+  int64 radix-2 butterflies the float64 transform replaced (BENCH_9.json).
+  In float64, up to rank 12 factor ranks 4-7 differ by at most 1.5x; from
+  rank 13 factors of rank 6-7 take up to 3x longer than rank 5, and rank 4
+  is 1.2-1.5x slower at ranks 5, 9 and 10 but faster at ranks 15 and 20.
+  The bounds are proved in `_cross_counts_dense`.
 
 Count tables (`rep_counts`, `mult_sumset` with k >= 2) take the last two
 through `_cross_counts`; `sumset` takes all three, reading the support of a
@@ -152,9 +158,10 @@ class RepCountTable:
 
 
 @lru_cache(maxsize=None)
-def _hadamard(a: int) -> np.ndarray:
-    """The 2^a x 2^a Sylvester matrix, entry (i, j) = (-1)^popcount(i & j), as float64."""
-    h = np.ones((1, 1))
+def _hadamard(a: int, dtype: type) -> np.ndarray:
+    """The 2^a x 2^a Sylvester matrix, entry (i, j) = (-1)^popcount(i & j),
+    in the float dtype `dtype`: one cached factor per rank and dtype."""
+    h = np.ones((1, 1), dtype=dtype)
     for _ in range(a):
         h = np.block([[h, h], [h, -h]])
     h.setflags(write=False)
@@ -162,43 +169,57 @@ def _hadamard(a: int) -> np.ndarray:
 
 
 def _walsh(table: np.ndarray, r: int) -> np.ndarray:
-    """Walsh-Hadamard transform of a length-2^r table, as float64.
+    """Walsh-Hadamard transform of a length-2^r float table, in its dtype.
 
     H_r is the Kronecker product of the Hadamard factors of ⌈r / f⌉ bit
     groups of near-equal rank <= f = `_WALSH_FACTOR_RANK`. Each step
     multiplies the leading axis by its factor and moves it last (X^T H), so
-    every factor is one BLAS matmul and the axes are back in order after the
-    last one."""
-    out = np.asarray(table, dtype=np.float64)
+    every factor is one BLAS matmul (sgemm for float32, dgemm for float64)
+    and the axes are back in order after the last one. The caller picks the
+    dtype; `_cross_counts_dense` says why each of its passes is exact."""
+    out = table
     groups = -(-r // _WALSH_FACTOR_RANK)
     for i in range(groups):
         a = (r + i) // groups  # the group ranks sum to r
-        out = out.reshape(1 << a, -1).T @ _hadamard(a)
+        out = out.reshape(1 << a, -1).T @ _hadamard(a, out.dtype.type)
     return out.reshape(-1)
 
 
 def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
     """Ordered counts by the convolution theorem, N = H(Hb * Hc) / 2^r.
 
-    Every value float64 holds here is an integer, and integers below 2^53
-    add exactly in any order, so the order BLAS sums in does not matter.
-    The forward transforms are bounded by |B| and |C|, their product by
-    |B| |C|. Every partial sum of the inverse, across factors too, is a
-    signed sum of some of the products, so it is bounded by
-    sum_s |Hb(s) Hc(s)| <= 2^r sqrt(|B| |C|) <= 2^(2r) (Cauchy-Schwarz, and
-    Parseval: sum_s Hb(s)^2 = 2^r |B|). That is 2^48 at `core.MAX_RANK` =
-    24, and the bound stays below 2^53 while MAX_RANK is at most 26.
+    The forward transforms run in float32, the product and the inverse in
+    float64. Every value either pass holds is an integer, and a float type
+    adds integers exactly, in any order, while every partial sum stays
+    within its integer range: 2^24 for float32, 2^53 for float64. So the
+    order BLAS sums in does not matter.
 
-    Memory is a few 2^r tables, 128 MB each at rank 24, where a process peaks
-    near 460 MB (2 vCPUs, numpy 2.4): 100-140 MB above summing rank-20 tables
-    over the top coordinates, which took 6-8x longer."""
+    - Forward: H has ±1 entries and b is a 0/1 table, so every intermediate
+      value, across factors too, and every partial sum a GEMM forms is a
+      signed sum of distinct entries of b. Its magnitude is at most
+      |B| <= 2^r <= 2^24 at `core.MAX_RANK` = 24; the one value that
+      reaches 2^24 is Hb(0) of the full rank-24 group.
+    - Product: |Hb(s) Hc(s)| <= |B| |C| <= 2^48, so it is formed in float64.
+    - Inverse: every partial sum, across factors too, is a signed sum of some
+      of the products, so it is bounded by
+      sum_s |Hb(s) Hc(s)| <= 2^r sqrt(|B| |C|) <= 2^(2r) (Cauchy-Schwarz, and
+      Parseval: sum_s Hb(s)^2 = 2^r |B|). That is 2^48 at rank 24.
+
+    The float32 bound is the binding one: exactness holds up to rank 24.
+    With float32 forward passes a call takes 23 ms for B = C and 30 ms for
+    B != C at rank 20, and 0.61 and 0.76 s at rank 24, against 26, 39 ms
+    and 0.74, 1.12 s with float64 ones (medians of 3; BENCH_25.json). The
+    float64 inverse, 0.23-0.26 s at rank 24, is now the largest pass.
+
+    Memory is a few 2^r tables, 128 MB each in float64 at rank 24, where a
+    process peaks near 465 MB (2 vCPUs, numpy 2.4): 100-140 MB above summing
+    rank-20 tables over the top coordinates, which took 6-8x longer."""
     r = B.rank
-    fb = _walsh(_bits_to_mask(B.bits, r), r)
-    if C.bits == B.bits:
-        fb *= fb
-    else:
-        fb *= _walsh(_bits_to_mask(C.bits, r), r)
-    out = _walsh(fb, r).astype(np.int64)
+    fb = _walsh(_bits_to_mask(B.bits, r).astype(np.float32), r)
+    fc = fb if C.bits == B.bits else _walsh(_bits_to_mask(C.bits, r).astype(np.float32), r)
+    prod = np.multiply(fb, fc, dtype=np.float64)
+    del fb, fc  # freed before the inverse makes its 2^r float64 tables
+    out = _walsh(prod, r).astype(np.int64)
     out >>= r  # exact: the inverse transform is divisible by 2^r
     return out
 

@@ -24,7 +24,7 @@ from f2sets import (
     two_a,
     unique_sums,
 )
-from f2sets import sumsets
+from f2sets import core, sumsets
 from f2sets.core import indices_to_bits
 from f2sets.fuzz import qualifying_sum_free_sets
 from f2sets.generators import sharpness_pair
@@ -36,6 +36,7 @@ from f2sets.sumsets import (
     _cross_counts_dense,
     _cross_counts_sparse,
     _takes_pairs,
+    _walsh,
     _two_and_unique,
     RepCountTable,
     _unique_nonzero,
@@ -140,7 +141,8 @@ def test_pairs_and_dense_branches_meet_at_the_cut_over():
 
 
 def test_dense_kernel_exact_past_2_to_the_53():
-    # float64 holds integers exactly below 2^53. The crude bound on the
+    # float64, which holds the product and the inverse transform, holds
+    # integers exactly below 2^53. The crude bound on the
     # inverse transform, 2^r |B| |C|, passes it at rank 18 for the full group
     # (2^54) and at rank 20 for half density (about 2^58); the kernel must
     # still be exact there, and at rank 24, the top of the range, where the
@@ -175,6 +177,69 @@ def test_kernels_agree_exhaustively():
         B = ElementSet(r, rnd.getrandbits(1 << r))
         C = ElementSet(r, rnd.getrandbits(1 << r))
         assert np.array_equal(_cross_counts_dense(B, C), _cross_counts_sparse(B, C))
+
+
+def test_max_rank_is_within_the_float32_forward_bound():
+    # The dense kernel's forward transforms run in float32, exact while every
+    # value is at most |B| <= 2^MAX_RANK <= 2^24.
+    assert core.MAX_RANK <= 24, (
+        "the float32 forward Walsh-Hadamard pass of _cross_counts_dense is exact "
+        "only up to rank 24; raising MAX_RANK needs a float64 forward pass"
+    )
+
+
+def test_float32_walsh_equals_the_float64_transform():
+    rng = np.random.default_rng(25)
+    table = rng.random(1 << 20) < 0.5
+    single = _walsh(table.astype(np.float32), 20)
+    double = _walsh(table.astype(np.float64), 20)
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    assert np.array_equal(single.astype(np.float64), double)
+    assert double[0] == np.count_nonzero(table)
+
+
+def test_float32_walsh_reaches_2_to_the_24_exactly():
+    # The full rank-24 group is the one input whose forward value reaches
+    # 2^24; float32 holds every integer up to 2^24, but not 2^24 + 1.
+    out = _walsh(np.ones(1 << 24, dtype=np.float32), 24)
+    assert out.dtype == np.float32
+    assert out[0] == 1 << 24
+    assert not np.any(out[1:])
+
+
+def _dense_closed_forms(r, rnd):
+    """(B, C, N) with N the known count table of B + C, for B = C and B != C."""
+    n = 1 << r
+    full, points = ElementSet.full(r), np.arange(n)
+    p, q = rnd.sample(range(n), 2)
+    u = rnd.randrange(1, n)  # H = {x : u.x = 0}, a hyperplane
+    in_h = np.array([bin(x & u).count("1") % 2 == 0 for x in range(n)])
+    t = rnd.randrange(n)
+    coset = els(r, np.flatnonzero(in_h[points ^ t]).tolist())
+    delta = lambda d: (points == d).astype(np.int64)
+    yield full, full, np.full(n, n)
+    yield full, els(r, [p]), np.ones(n, dtype=np.int64)
+    yield els(r, [p]), els(r, [p]), delta(0)
+    yield els(r, [p]), els(r, [q]), delta(p ^ q)
+    miss_p, miss_q = full.without_element(p), full.without_element(q)
+    yield miss_p, miss_p, np.where(points == 0, n - 1, n - 2)
+    yield miss_p, miss_q, np.where(points == p ^ q, n - 1, n - 2)
+    yield miss_p, els(r, [p]), 1 - delta(0)
+    yield coset, coset, np.where(in_h, n // 2, 0)
+    yield coset, coset.complement(), np.where(in_h, 0, n // 2)
+
+
+def test_dense_kernel_closed_forms_and_pairs_at_ranks_11_to_16():
+    rnd = random.Random(16)
+    for r in range(11, 17):
+        for B, C, expected in _dense_closed_forms(r, rnd):
+            assert np.array_equal(_cross_counts_dense(B, C), expected), (r, len(B), len(C))
+        for _ in range(4):
+            nb = rnd.randint(1, min(1 << r, 1 << 11))
+            nc = rnd.randint(1, min(1 << r, (1 << 22) // nb))
+            B = els(r, rnd.sample(range(1 << r), nb))
+            for C in (B, els(r, rnd.sample(range(1 << r), nc))):
+                assert np.array_equal(_cross_counts_dense(B, C), _cross_counts_sparse(B, C))
 
 
 # -- representation counts
