@@ -17,9 +17,13 @@ Sum kernels, one per regime, all exact:
   rank 6, 24-48 at rank 7, 24 at rank 8, 8-16 at rank 9, 8 at ranks 10-11
   and at most 4 from rank 12 (sweeps in BENCH_9.json and, with float32
   forward passes, BENCH_25.json; 2 vCPUs, numpy 2.4, OpenBLAS 0.3.31).
-  `_SPARSE_PAIRS_PER_POINT` = 16 is where rank 9 crosses. It costs up to
-  1.7x on 20-40 us calls at ranks 5-7, and keeps every table of a
-  classification run (at most 16 pairs per point) on this kernel.
+  With the float32 inverse it wins from 32 at rank 7, 16 at rank 8, 12 at
+  rank 9 and 4 from rank 11 (BENCH_26.json). `_SPARSE_PAIRS_PER_POINT` =
+  16 is where ranks 8-9 cross. It costs up to 1.7x on 20-40 us calls at
+  ranks 5-7, and keeps every table of a classification run (at most 16
+  pairs per point) on this kernel. An affine cut-over fitted to the
+  BENCH_26.json sweep read flat on `fuzz` and slower on `highrank` in
+  alternating benchmark runs, so the constant stays.
   `_SPARSE_PRODUCT_LIMIT` = 2^22 caps the XOR array at 32 MB.
 - Walsh-Hadamard dense (`_cross_counts_dense`), at every rank: N =
   H(Hb * Hc) / 2^r for the 0/1 tables b, c. `_walsh` applies H_r as a
@@ -27,11 +31,15 @@ Sum kernels, one per regime, all exact:
   5, one BLAS matmul each, in the float dtype of its input. The forward
   passes run in float32: each value is a signed sum of distinct 0/1
   entries, at most |B| <= 2^24 = 2^MAX_RANK, so float32 holds it exactly.
-  The product and the inverse run in float64, below 2^(2r) <= 2^48. One
-  float32 transform takes 0.34-0.38 ms at rank 16, 3.2-3.4 ms at rank 20
-  and 0.11-0.13 s at rank 24, against 0.88-0.95 ms, 14-17 ms and
-  0.23-0.26 s in float64 (BENCH_25.json), and 112-120 ms at rank 20 for the
-  int64 radix-2 butterflies the float64 transform replaced (BENCH_9.json).
+  The product and the inverse run in float32 while |B| |C| <= 2^30, where
+  a rounding-error bound keeps every computed count within 0.32 of the
+  exact one and `rint` returns it, and in float64 above, where every value
+  is an integer below 2^(2r) <= 2^48. So every call up to rank 15 is all
+  float32. One float32 transform takes 0.20 ms at rank 16, 1.7 ms at rank
+  20 and 76-78 ms at rank 24, against 0.50 ms, 6.1-6.9 ms and 0.17-0.18 s
+  in float64 (BENCH_26.json; the shared host ran about twice as fast as
+  for BENCH_25.json), and 112-120 ms at rank 20 for the int64 radix-2
+  butterflies the float64 transform replaced (BENCH_9.json).
   In float64, up to rank 12 factor ranks 4-7 differ by at most 1.5x; from
   rank 13 factors of rank 6-7 take up to 3x longer than rank 5, and rank 4
   is 1.2-1.5x slower at ranks 5, 9 and 10 but faster at ranks 15 and 20.
@@ -188,28 +196,61 @@ def _walsh(table: np.ndarray, r: int) -> np.ndarray:
 def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
     """Ordered counts by the convolution theorem, N = H(Hb * Hc) / 2^r.
 
-    The forward transforms run in float32, the product and the inverse in
-    float64. Every value either pass holds is an integer, and a float type
-    adds integers exactly, in any order, while every partial sum stays
-    within its integer range: 2^24 for float32, 2^53 for float64. So the
-    order BLAS sums in does not matter.
+    The forward transforms run in float32. The product and the inverse run
+    in float32 while |B| |C| <= 2^30, and in float64 above.
 
-    - Forward: H has ±1 entries and b is a 0/1 table, so every intermediate
-      value, across factors too, and every partial sum a GEMM forms is a
-      signed sum of distinct entries of b. Its magnitude is at most
-      |B| <= 2^r <= 2^24 at `core.MAX_RANK` = 24; the one value that
-      reaches 2^24 is Hb(0) of the full rank-24 group.
-    - Product: |Hb(s) Hc(s)| <= |B| |C| <= 2^48, so it is formed in float64.
-    - Inverse: every partial sum, across factors too, is a signed sum of some
-      of the products, so it is bounded by
-      sum_s |Hb(s) Hc(s)| <= 2^r sqrt(|B| |C|) <= 2^(2r) (Cauchy-Schwarz, and
-      Parseval: sum_s Hb(s)^2 = 2^r |B|). That is 2^48 at rank 24.
+    - Forward, exact: H has ±1 entries and b is a 0/1 table, so every
+      intermediate value, across factors too, and every partial sum a GEMM
+      forms is a signed sum of distinct entries of b. Its magnitude is at
+      most |B| <= 2^r <= 2^24 at `core.MAX_RANK` = 24, and float32 adds
+      integers exactly, in any order, while every partial sum stays within
+      2^24. The one value that reaches 2^24 is Hb(0) of the full rank-24
+      group.
+    - The size of the product P(s) = Hb(s) Hc(s): by Cauchy-Schwarz and
+      Parseval (sum_s Hb(s)^2 = 2^r |B|),
 
-    The float32 bound is the binding one: exactness holds up to rank 24.
-    With float32 forward passes a call takes 23 ms for B = C and 30 ms for
-    B != C at rank 20, and 0.61 and 0.76 s at rank 24, against 26, 39 ms
-    and 0.74, 1.12 s with float64 ones (medians of 3; BENCH_25.json). The
-    float64 inverse, 0.23-0.26 s at rank 24, is now the largest pass.
+          sum_s |P(s)| <= 2^r sqrt(|B| |C|).                          (1)
+
+      Every partial sum of the inverse, across factors too, is a signed sum
+      of some of the P(s), so (1) bounds it as well.
+    - Float64, |B| |C| > 2^30, exact: |P(s)| <= |B| |C| <= 2^48 and (1) is
+      at most 2^(2r) <= 2^48, so every value is an integer below float64's
+      2^53, and the inverse is divisible by 2^r.
+    - Float32, |B| |C| <= 2^30, exact after rounding. Products reach 2^30,
+      past float32's integers, so this is a rounding-error bound (N. J.
+      Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+      SIAM 2002, sections 3.1 and 3.5). Let u = 2^-24 and gamma_n =
+      nu / (1 - nu).
+      - Forming P in float32 rounds once: P'(s) = P(s)(1 + e), |e| <= u.
+      - `_walsh` makes g = ⌈r / 5⌉ <= 5 passes. Each multiplies by a
+        factor H_a (a <= 5) times an identity, up to a permutation of the
+        axes, so every output is a dot product of at most 32 terms. In any
+        order of summation, with or without fused multiply-adds, its error
+        is at most gamma_32 times the sum of the terms' magnitudes. Over g
+        passes the error is at most ((1 + gamma_32)^g - 1) |M_g| ... |M_1|
+        |P'|, where M_i is pass i's matrix. Each pass mixes only its own
+        bit group, so |M_g| ... |M_1| links every input to every output
+        by exactly one path: it is the all-ones matrix.
+      - So every computed inverse entry is off by at most
+        ((1 + gamma_32)^g (1 + u) - 1) sum_s |P(s)|. Scaling by 2^-r is
+        exact, and by (1) the computed N(d) is off by at most
+
+            ((1 + gamma_32)^g (1 + u) - 1) sqrt(|B| |C|)
+              <= 9.60e-6 sqrt(|B| |C|)                 (g <= 5)
+
+        whatever order BLAS sums in.
+      - That is below 1/2 while |B| |C| < 2.7e9, about 2^31.3. At the cut,
+        |B| |C| = 2^30, it is at most 9.60e-6 * 2^15 = 0.315, so `rint`
+        returns the exact count, an integer of at most min(|B|, |C|) <=
+        2^15 that float32 holds. The cut leaves more than 3/16 of margin
+        below 1/2; 2^31 would still be proved (0.445). Subgroups B = C of
+        order 2^15 meet (1) with equality.
+
+    At 2^30 pairs (random B != C) a call takes 2.6-2.8 ms at rank 18,
+    9.8-10.6 ms at rank 20 and 0.29-0.37 s at rank 24, against 3.6-3.9 ms,
+    13-15 ms and 0.42-0.45 s with the float64 inverse, and its tracemalloc
+    peak falls from 6, 24 and 384 MB to 4, 16 and 256 MB. One pair more,
+    on the float64 side, costs what it did (BENCH_26.json).
 
     Memory is a few 2^r tables, 128 MB each in float64 at rank 24, where a
     process peaks near 465 MB (2 vCPUs, numpy 2.4): 100-140 MB above summing
@@ -217,11 +258,16 @@ def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
     r = B.rank
     fb = _walsh(_bits_to_mask(B.bits, r).astype(np.float32), r)
     fc = fb if C.bits == B.bits else _walsh(_bits_to_mask(C.bits, r).astype(np.float32), r)
-    prod = np.multiply(fb, fc, dtype=np.float64)
-    del fb, fc  # freed before the inverse makes its 2^r float64 tables
-    out = _walsh(prod, r).astype(np.int64)
-    out >>= r  # exact: the inverse transform is divisible by 2^r
-    return out
+    wide = len(B) * len(C) > 1 << 30
+    prod = np.multiply(fb, fc, dtype=np.float64 if wide else np.float32)
+    del fb, fc  # freed before the inverse makes its 2^r tables
+    out = _walsh(prod, r)
+    if wide:
+        out = out.astype(np.int64)
+        out >>= r  # exact: every value is an integer divisible by 2^r
+        return out
+    out *= 2.0**-r  # exact: a power of two, far from float32's underflow
+    return np.rint(out, out=out).astype(np.int64)
 
 
 def _pair_xors(B: ElementSet, C: ElementSet) -> np.ndarray:

@@ -207,6 +207,97 @@ def test_float32_walsh_reaches_2_to_the_24_exactly():
     assert not np.any(out[1:])
 
 
+def _float64_counts(B, C):
+    """The dense table with a float64 product and inverse at every size: the
+    reference the float32 inverse must equal."""
+    r = B.rank
+    b, c = np.zeros(1 << r), np.zeros(1 << r)
+    b[B.indices()] = 1
+    c[C.indices()] = 1
+    return _walsh(_walsh(b, r) * _walsh(c, r), r).astype(np.int64) >> r
+
+
+@pytest.fixture
+def walsh_dtypes(monkeypatch):
+    """The dtypes of the tables that reach `_walsh`, in call order."""
+    seen = []
+
+    def recording(table, r):
+        seen.append(table.dtype)
+        return _walsh(table, r)
+
+    monkeypatch.setattr(sumsets, "_walsh", recording)
+    return seen
+
+
+def _subgroup_of_order(r, k, rng):
+    while True:
+        H = Subgroup.generated_by(r, rng.integers(1, 1 << r, k).tolist())
+        if H.dim == k:
+            return H
+
+
+def test_float32_inverse_at_the_bound_on_subgroups(walsh_dtypes):
+    # B = C = H of order 2^15: |B| |C| = 2^30, and H meets the kernel's bound
+    # sum_s |P(s)| <= 2^r sqrt(|B| |C|) with equality. Rank 24 takes the
+    # most factor passes, 5. N(d) = |H| on H and 0 off it.
+    rng = np.random.default_rng(26)
+    for r in (16, 20, 24):
+        H = _subgroup_of_order(r, 15, rng)
+        expected = np.zeros(1 << r, dtype=np.int64)
+        expected[H.members.indices()] = 1 << 15
+        walsh_dtypes.clear()
+        assert np.array_equal(_cross_counts_dense(H.members, H.members), expected), r
+        assert walsh_dtypes == [np.float32, np.float32], r
+
+
+def test_float32_inverse_equals_float64_on_a_random_set_of_2_to_the_15(walsh_dtypes):
+    rng = np.random.default_rng(2615)
+    r = 20
+    A = els(r, rng.choice(1 << r, 1 << 15, replace=False).tolist())
+    assert np.array_equal(_cross_counts_dense(A, A), _float64_counts(A, A))
+    assert walsh_dtypes == [np.float32, np.float32]
+
+
+def test_float32_inverse_on_a_coset_and_its_complement(walsh_dtypes):
+    # The transforms of a coset of H and of its complement have opposite
+    # signs on the dual of H (bar 0), so those products are negative.
+    # N(d) = |B| off H and 0 on H. At rank 16 H is a hyperplane and
+    # |B| |C| = 2^30; at rank 20 |H| = 2^10 and |B| |C| = 2^30 - 2^20.
+    rng = np.random.default_rng(2616)
+    for r, k in ((16, 15), (20, 10)):
+        H = _subgroup_of_order(r, k, rng)
+        B = H.coset(int(rng.integers(1 << r)))
+        C = B.complement()
+        assert len(B) * len(C) <= 1 << 30
+        b, c = np.zeros(1 << r, dtype=np.float32), np.zeros(1 << r, dtype=np.float32)
+        b[B.indices()] = 1
+        c[C.indices()] = 1
+        assert (_walsh(b, r) * _walsh(c, r)).min() < 0
+        expected = np.full(1 << r, len(B), dtype=np.int64)
+        expected[H.members.indices()] = 0
+        walsh_dtypes.clear()
+        assert np.array_equal(_cross_counts_dense(B, C), expected), r
+        assert walsh_dtypes == [np.float32] * 3, r
+
+
+def test_dense_inverse_takes_float64_just_past_2_to_the_30(walsh_dtypes):
+    # 2^30 + 1 = 1025 * 1047553: one pair past the float32 bound takes the
+    # float64 product and inverse; the pair at 2^30 (C the whole rank-20
+    # group, N(d) = |B|) stays in float32.
+    rng = np.random.default_rng(2630)
+    r = 20
+    B = els(r, rng.choice(1 << r, 1025, replace=False).tolist())
+    C = els(r, rng.choice(1 << r, 1023, replace=False).tolist()).complement()
+    assert len(B) * len(C) == (1 << 30) + 1
+    assert np.array_equal(_cross_counts_dense(B, C), _float64_counts(B, C))
+    assert walsh_dtypes == [np.float32, np.float32, np.float64]
+    walsh_dtypes.clear()
+    B = B.without_element(B.min_element())
+    assert np.array_equal(_cross_counts_dense(B, ElementSet.full(r)), np.full(1 << r, 1024))
+    assert walsh_dtypes == [np.float32, np.float32, np.float32]
+
+
 def _dense_closed_forms(r, rnd):
     """(B, C, N) with N the known count table of B + C, for B = C and B != C."""
     n = 1 << r
