@@ -25,7 +25,7 @@ Sum kernels, one per regime, all exact:
   BENCH_26.json sweep read flat on `fuzz` and slower on `highrank` in
   alternating benchmark runs, so the constant stays.
   `_SPARSE_PRODUCT_LIMIT` = 2^22 caps the XOR array at 32 MB.
-- Walsh-Hadamard dense (`_cross_counts_dense`), at every rank: N =
+- Walsh-Hadamard dense (`_dense_inverse`), at every rank: N =
   H(Hb * Hc) / 2^r for the 0/1 tables b, c. `_walsh` applies H_r as a
   Kronecker product of Hadamard factors of rank <= `_WALSH_FACTOR_RANK` =
   5, one BLAS matmul each, in the float dtype of its input. The forward
@@ -43,11 +43,12 @@ Sum kernels, one per regime, all exact:
   In float64, up to rank 12 factor ranks 4-7 differ by at most 1.5x; from
   rank 13 factors of rank 6-7 take up to 3x longer than rank 5, and rank 4
   is 1.2-1.5x slower at ranks 5, 9 and 10 but faster at ranks 15 and 20.
-  The bounds are proved in `_cross_counts_dense`.
+  The bounds are proved in `_dense_inverse`.
 
-Count tables (`rep_counts`, `mult_sumset` with k >= 2) take the last two
-through `_cross_counts`; `sumset` takes all three, reading the support of a
-dense table outside the numpy regime.
+Count tables (`rep_counts`) take the last two through `_cross_counts`.
+`sumset` takes all three and `mult_sumset` with k >= 2 the last two; in
+the dense regime both read N(d) >= k off the unscaled inverse
+(`_dense_at_least`) without building the int64 table.
 
 Counting conventions: RepCountTable stores ordered counts N(d) over A x A.
 The unordered count of d != 0 is N(d)/2, and of d = 0 is |A| (each pair
@@ -184,7 +185,7 @@ def _walsh(table: np.ndarray, r: int) -> np.ndarray:
     multiplies the leading axis by its factor and moves it last (X^T H), so
     every factor is one BLAS matmul (sgemm for float32, dgemm for float64)
     and the axes are back in order after the last one. The caller picks the
-    dtype; `_cross_counts_dense` says why each of its passes is exact."""
+    dtype; `_dense_inverse` says why each of its passes is exact."""
     out = table
     groups = -(-r // _WALSH_FACTOR_RANK)
     for i in range(groups):
@@ -193,8 +194,10 @@ def _walsh(table: np.ndarray, r: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
-    """Ordered counts by the convolution theorem, N = H(Hb * Hc) / 2^r.
+def _dense_inverse(B: ElementSet, C: ElementSet) -> np.ndarray:
+    """2^r N = H(Hb * Hc), the ordered counts of b + c times 2^r, by the
+    convolution theorem: the one dense kernel. `_cross_counts_dense` scales
+    it to N; `_dense_at_least` thresholds it.
 
     The forward transforms run in float32. The product and the inverse run
     in float32 while |B| |C| <= 2^30, and in float64 above.
@@ -261,13 +264,33 @@ def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
     wide = len(B) * len(C) > 1 << 30
     prod = np.multiply(fb, fc, dtype=np.float64 if wide else np.float32)
     del fb, fc  # freed before the inverse makes its 2^r tables
-    out = _walsh(prod, r)
-    if wide:
+    return _walsh(prod, r)
+
+
+def _cross_counts_dense(B: ElementSet, C: ElementSet) -> np.ndarray:
+    """The ordered counts N of b + c as int64, from `_dense_inverse`."""
+    r = B.rank
+    out = _dense_inverse(B, C)
+    if out.dtype == np.float64:
         out = out.astype(np.int64)
         out >>= r  # exact: every value is an integer divisible by 2^r
         return out
     out *= 2.0**-r  # exact: a power of two, far from float32's underflow
     return np.rint(out, out=out).astype(np.int64)
+
+
+def _dense_at_least(B: ElementSet, C: ElementSet, k: int) -> np.ndarray:
+    """The mask N(d) >= k, for k >= 1, read off `_dense_inverse` without
+    building N: the unscaled inverse is at least (k - 1/2) 2^r.
+
+    Exact on both sides. In float64 every value is exactly 2^r N(d). In
+    float32 it is within 0.315 2^r of 2^r N(d), so it is at least
+    (k - 0.315) 2^r where N(d) >= k and at most (k - 0.685) 2^r where
+    N(d) <= k - 1. k is first capped at 1 + min(|B|, |C|), above every
+    count, so the threshold is exact in the inverse's dtype: at most
+    2^15 + 1/2 times 2^r in float32, where |B| |C| <= 2^30."""
+    k = min(k, 1 + min(len(B), len(C)))
+    return _dense_inverse(B, C) >= (k - 0.5) * 2.0**B.rank
 
 
 def _pair_xors(B: ElementSet, C: ElementSet) -> np.ndarray:
@@ -322,7 +345,7 @@ def sumset(B: ElementSet, C: ElementSet) -> ElementSet:
     if _takes_pairs(B, C):
         # indices_to_bits scatters into an indicator, so repeated XORs collapse there.
         return ElementSet(r, indices_to_bits(_pair_xors(B, C), r))
-    return ElementSet(r, _mask_to_bits(_cross_counts(B, C) != 0))
+    return ElementSet(r, _mask_to_bits(_dense_at_least(B, C, 1)))
 
 
 def two_a(A: ElementSet) -> ElementSet:
@@ -337,7 +360,9 @@ def mult_sumset(B: ElementSet, C: ElementSet, k: int) -> ElementSet:
         raise RankMismatchError(f"rank {B.rank} vs {C.rank}")
     if k == 1:
         return sumset(B, C)
-    return ElementSet(B.rank, _mask_to_bits(_cross_counts(B, C) >= k))
+    if _takes_pairs(B, C):
+        return ElementSet(B.rank, _mask_to_bits(_cross_counts_sparse(B, C) >= k))
+    return ElementSet(B.rank, _mask_to_bits(_dense_at_least(B, C, k)))
 
 
 def _unique_nonzero(counts: np.ndarray, rank: int) -> ElementSet:

@@ -7,9 +7,16 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import f2sets
+from f2sets import ElementSet, InternalError, cli, sumset, unique_sums
 from f2sets.cli import main
+from f2sets.core import indices_to_bits
 from f2sets.generators import census_fixture_suite
+from f2sets.search import canonical_form, find_example
+from f2sets.structure import tangent_construction
 
 
 def run_cli(argv):
@@ -449,12 +456,107 @@ def test_canonical_cli():
     assert code == 0 and payload["canonical"]["elements"] == [1, 2]
 
 
-def test_cli_as_subprocess():
-    # end-to-end through a real process: exit code and JSON contract. The
-    # process imports the package under test, wherever pytest found it.
+# -- set output: `_emit` writes element lists itself. Each command's stdout
+# must equal json.dumps(..., sort_keys=True) of the payload it printed when
+# it put S.to_json() there.
+
+EDGES = sorted({0, (1 << 24) - 1, *(10**k + d for k in range(1, 8) for d in (-1, 0, 1))})
+
+
+def stdout_of(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def dumped(payload):
+    return json.dumps(payload, sort_keys=True) + "\n"
+
+
+def hex_arg(S):
+    return json.dumps(S.to_hex_json())
+
+
+def _output_sets():
+    rng = np.random.default_rng(29)
+    yield "empty", ElementSet.empty(1)
+    yield "zero", ElementSet.from_elements(1, [0])
+    yield "full-1", ElementSet.full(1)
+    yield "r4", ElementSet.from_elements(4, [1, 2, 7, 9, 12, 15])
+    yield "r10", ElementSet.from_elements(10, rng.choice(1 << 10, 300, replace=False).tolist())
+    yield "full-17", ElementSet.full(17)
+    yield "r20-sparse", ElementSet.from_elements(20, rng.choice(1 << 20, 1000, replace=False).tolist())
+    yield "r20-half", ElementSet(20, indices_to_bits(np.flatnonzero(rng.random(1 << 20) < 0.5), 20))
+    yield "r24-edges", ElementSet.from_elements(24, EDGES)
+    yield "r24-empty", ElementSet.empty(24)
+
+
+OUTPUT_SETS = dict(_output_sets())
+
+
+@pytest.mark.parametrize("name", OUTPUT_SETS)
+def test_sumset_output_is_byte_identical_to_json_dumps(name):
+    S = OUTPUT_SETS[name]
+    zero = ElementSet.from_elements(S.rank, [0])
+    # S + {0} prints S itself; S + S prints its sumset.
+    for argv, T in ((["sumset", "--set", hex_arg(S), "--set2", hex_arg(zero)], S),
+                    (["sumset", "--set", hex_arg(S)], sumset(S, S))):
+        assert stdout_of(argv) == (0, dumped({"sumset": T.to_json(), "count": len(T)}))
+
+
+@pytest.mark.parametrize("name", ["empty", "zero", "full-1", "r4", "r10", "r20-sparse",
+                                  "r24-edges"])
+def test_dset_output_is_byte_identical_to_json_dumps(name):
+    A = OUTPUT_SETS[name]
+    D = unique_sums(A)
+    assert stdout_of(["dset", "--set", hex_arg(A)]) == (0, dumped(
+        {"input": A.to_json(), "unique_sums": D.to_json(), "count": len(D)}))
+
+
+def test_construct_tangent_canonical_and_find_example_outputs_are_byte_identical():
+    for kind, build in cli.RANK_CONSTRUCTIONS.items():
+        for r in (4, 10, 17):
+            A = build(r)
+            assert stdout_of(["construct", kind, "--r", str(r)]) == (0, dumped(
+                {"kind": kind, "set": A.to_json(), "size": len(A)})), (kind, r)
+    base = ElementSet.from_elements(4, range(8, 16))
+    for kind, build in cli.BASE_CONSTRUCTIONS.items():
+        A = build(base, 9)
+        assert stdout_of(["construct", kind, "--set", hex_arg(base), "--shift", "9"]) == (
+            0, dumped({"kind": kind, "set": A.to_json(), "size": len(A)})), kind
+    B = ElementSet.from_elements(5, range(1, 16))
+    T = tangent_construction(B, 16)
+    assert stdout_of(["tangent", "--set", hex_arg(B), "--shift", "16"]) == (
+        0, dumped({"set": T.to_json(), "size": len(T)}))
+    for name in ("empty", "zero", "full-1", "r4"):
+        A = OUTPUT_SETS[name]
+        for action in ("linear", "affine", "none"):
+            form = canonical_form(A, action, allow_zero=True)
+            assert stdout_of(["canonical", "--set", hex_arg(A), "--action", action]) == (
+                0, dumped({"action": action, "canonical": form.set.to_json()})), (name, action)
+    found = find_example(5, "minimal-saturating", 11, seed=1)
+    assert stdout_of(["find-example", "minimal-saturating", "--r", "5", "--size", "11",
+                      "--seed", "1"]) == (0, dumped(
+        {"found": found.to_json(), "predicate": "minimal-saturating", "size": 11}))
+
+
+def test_a_payload_string_equal_to_the_set_token_is_an_internal_error():
+    with pytest.raises(InternalError):
+        cli._emit({"kind": cli._SET_TOKEN, "set": ElementSet.full(2)}, "", 0)
+
+
+def _subprocess_env():
+    """The environment of a child process that imports the package under
+    test, wherever pytest found it."""
     src = str(Path(f2sets.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_cli_as_subprocess():
+    # end-to-end through a real process: exit code and JSON contract.
+    env = _subprocess_env()
     proc = subprocess.run(
         [sys.executable, "-m", "f2sets.cli", "check", "sum-free",
          "--set", set_arg(2, [1, 2])],
@@ -468,6 +570,36 @@ def test_cli_as_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip()
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    # main builds its parser on its first call and reuses it. A usage error,
+    # sumset, check and --version, run in that order in one process, each
+    # print what a fresh process prints for that command alone.
+    commands = [["sumset", "--set", set_arg(3, [1, 2]), "--kappa", "2"],
+                ["sumset", "--set", set_arg(4, [1, 2, 7, 9, 12])],
+                ["check", "sum-free", "--set", set_arg(2, [1, 2])],
+                ["--version"]]
+    script = ("import contextlib, io, json, sys\n"
+              "from f2sets.cli import main\n"
+              "runs = []\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "    runs.append([code, out.getvalue(), err.getvalue()])\n"
+              "print(json.dumps(runs))\n")
+    env = _subprocess_env()
+    one = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                         capture_output=True, text=True, env=env, check=True)
+    runs = json.loads(one.stdout)
+    fresh = [subprocess.run([sys.executable, "-m", "f2sets.cli", *argv],
+                            capture_output=True, text=True, env=env) for argv in commands]
+    assert runs == [[p.returncode, p.stdout, p.stderr] for p in fresh]
+    assert [code for code, _, _ in runs] == [2, 0, 0, 0]
+    assert runs[0][1] == "" and "unrecognized arguments: --kappa 2" in runs[0][2]
+    assert json.loads(runs[1][1])["sumset"]["elements"] == [0, 3, 5, 6, 8, 11, 13, 14]
+    assert runs[3][1].strip()
 
 
 def test_enumerate_time_budget_stops_close_to_limit():

@@ -298,6 +298,33 @@ def test_dense_inverse_takes_float64_just_past_2_to_the_30(walsh_dtypes):
     assert walsh_dtypes == [np.float32, np.float32, np.float32]
 
 
+@pytest.mark.parametrize("nb, nd, j", [(1025, 1023, 2), (1025, 1023, 3),
+                                       (2048, 1 << 19, 0), (2048, 1 << 19, 1),
+                                       (2048, 1 << 19, 2)])
+def test_dense_thresholds_equal_the_count_table_at_2_to_the_30(walsh_dtypes, nb, nd, j):
+    # sumset and mult_sumset threshold the unscaled inverse instead of
+    # building the int64 table. C is the complement of a random D and B is
+    # nb - j points of D plus j of C, so N(0) = |B ∩ C| = j. |B| |C| is
+    # 2^30 + 1 (float64 inverse) for |D| = 1023 and 2^30 (float32) for
+    # |D| = 2^19.
+    rng = np.random.default_rng(2900 + j)
+    r = 20
+    perm = rng.permutation(1 << r)
+    d, c = perm[:nd], perm[nd:]
+    B = ElementSet(r, indices_to_bits(np.concatenate([d[:nb - j], c[:j]]), r))
+    C = ElementSet(r, indices_to_bits(c, r))
+    wide = len(B) * len(C) > 1 << 30
+    assert len(B) * len(C) == (1 << 30) + wide
+    counts = _cross_counts_dense(B, C)
+    assert counts[0] == j
+    assert walsh_dtypes[-1] == (np.float64 if wide else np.float32)
+    for k in (1, 2, 3):
+        want = ElementSet(r, indices_to_bits(np.flatnonzero(counts >= k), r))
+        got = sumset(B, C) if k == 1 else mult_sumset(B, C, k)
+        assert got == want, k
+        assert (0 in got) == (j >= k), k
+
+
 def _dense_closed_forms(r, rnd):
     """(B, C, N) with N the known count table of B + C, for B = C and B != C."""
     n = 1 << r
